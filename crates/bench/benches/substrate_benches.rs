@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dcperf_kvstore::{BackingStore, BackingStoreConfig, Cache, CacheConfig};
-use dcperf_rpc::{InProcServer, PoolConfig, Request, Response, Value};
+use dcperf_rpc::{InProcServer, PoolConfig, Request, Response, Transport, Value};
 use dcperf_util::Histogram;
 use dcperf_workloads::wiki::{self, TemplateSet};
 use std::hint::black_box;
@@ -51,7 +51,7 @@ fn bench_rpc(c: &mut Criterion) {
     let mut group = c.benchmark_group("rpc");
     group.throughput(Throughput::Elements(1));
     group.bench_function("inproc_round_trip_64b", |b| {
-        b.iter(|| black_box(client.call("echo", vec![7u8; 64]).unwrap()))
+        b.iter(|| black_box(client.call("echo", vec![7u8; 64], None).unwrap()))
     });
     let value = Value::Struct(vec![
         (1, Value::I64(42)),

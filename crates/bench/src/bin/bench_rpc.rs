@@ -18,7 +18,7 @@
 
 #![forbid(unsafe_code)]
 
-use dcperf_rpc::{PipelineConfig, PoolConfig, Response, TcpClient, TcpServer};
+use dcperf_rpc::{Lane, PipelineConfig, PoolConfig, Response, TcpClient, TcpServer};
 use dcperf_util::{Histogram, Rng, Xoshiro256pp};
 use serde::Serialize;
 use std::time::Instant;
@@ -126,17 +126,6 @@ fn run_depth(
     let mut issued = 0u64;
     while issued < requests {
         let batch = depth.min((requests - issued) as usize);
-        if batch == 1 {
-            let body = payload_for(seed, issued, payload);
-            let t0 = Instant::now();
-            let resp = client
-                .call("echo", body)
-                .map_err(|e| std::io::Error::other(e.to_string()))?;
-            hist.record(t0.elapsed().as_nanos() as u64);
-            assert_eq!(resp.body.len(), payload, "echo must return the payload");
-            issued += 1;
-            continue;
-        }
         let bodies: Vec<Vec<u8>> = (0..batch as u64)
             .map(|j| payload_for(seed, issued + j, payload))
             .collect();
@@ -163,9 +152,10 @@ fn main() {
     };
 
     let pipeline = PipelineConfig::default();
-    let server = TcpServer::bind_with_pipeline(
+    let server = TcpServer::bind_full(
         "127.0.0.1:0",
         |req: &dcperf_rpc::Request| Response::ok(req.body.clone()),
+        |_: &dcperf_rpc::Request| Lane::Fast,
         PoolConfig::single_lane(4).with_queue_depth(4096),
         pipeline,
     )

@@ -70,11 +70,7 @@ impl Request {
         out
     }
 
-    /// Parses a request payload. The trailing fields were appended over
-    /// protocol revisions, so frames from older encoders decode with
-    /// their defaults: no deadline (v1) and correlation id 0 (v1/v2).
-    /// Newer frames decode on older servers too — v1 decoders ignore
-    /// trailing bytes.
+    /// Parses a request payload.
     ///
     /// # Errors
     ///
@@ -84,8 +80,8 @@ impl Request {
         let seq = r.read_uvarint()?;
         let method = r.read_str()?.to_owned();
         let body = r.read_bytes()?.to_vec();
-        let deadline_us = r.read_trailing_uvarint(0)?;
-        let corr = r.read_trailing_uvarint(0)?;
+        let deadline_us = r.read_uvarint()?;
+        let corr = r.read_uvarint()?;
         Ok(Self {
             seq,
             method,
@@ -140,10 +136,7 @@ pub struct Response {
     pub status: Status,
     /// Serialized result payload.
     pub body: Vec<u8>,
-    /// Echo of the request's correlation id. Responses from legacy
-    /// servers decode with `corr == seq`: those servers echo the
-    /// sequence number, and pipelining clients assign `corr = seq`, so
-    /// correlation still resolves across protocol versions.
+    /// Echo of the request's correlation id.
     pub corr: u64,
 }
 
@@ -203,10 +196,7 @@ impl Response {
         out
     }
 
-    /// Parses a response payload. The correlation id is a trailing field:
-    /// frames from pre-pipelining servers decode with `corr == seq`, which
-    /// keeps correlation working because those servers echo the sequence
-    /// number and pipelining clients assign `corr = seq`.
+    /// Parses a response payload.
     ///
     /// # Errors
     ///
@@ -216,7 +206,7 @@ impl Response {
         let seq = r.read_uvarint()?;
         let status = Status::from_byte(r.read_u8()?)?;
         let body = r.read_bytes()?.to_vec();
-        let corr = r.read_trailing_uvarint(seq)?;
+        let corr = r.read_uvarint()?;
         Ok(Self {
             seq,
             status,
@@ -306,9 +296,6 @@ pub enum RpcError {
     Timeout,
     /// A client-side circuit breaker rejected the call without sending.
     CircuitOpen,
-    /// A fan-out worker thread panicked (the panic payload is carried so
-    /// the failure is not collapsed into a disconnect).
-    WorkerPanic(String),
     /// The server is shutting down or the channel is closed.
     Disconnected,
     /// A pipelined connection received a response whose correlation id
@@ -325,8 +312,8 @@ impl RpcError {
     ///
     /// Transient transport and load conditions (overload, timeout, I/O,
     /// disconnect, expired deadline) are retryable; deterministic
-    /// failures (application errors, malformed frames, worker panics,
-    /// desynchronized correlation ids) and breaker rejections (retrying
+    /// failures (application errors, malformed frames, desynchronized
+    /// correlation ids) and breaker rejections (retrying
     /// defeats the breaker) are not.
     pub fn is_retryable(&self) -> bool {
         match self {
@@ -338,7 +325,6 @@ impl RpcError {
             RpcError::Wire(_)
             | RpcError::Application(_)
             | RpcError::CircuitOpen
-            | RpcError::WorkerPanic(_)
             | RpcError::CorrelationMismatch { .. } => false,
         }
     }
@@ -356,7 +342,6 @@ impl RpcError {
             RpcError::DeadlineExceeded => RpcError::DeadlineExceeded,
             RpcError::Timeout => RpcError::Timeout,
             RpcError::CircuitOpen => RpcError::CircuitOpen,
-            RpcError::WorkerPanic(m) => RpcError::WorkerPanic(m.clone()),
             RpcError::Disconnected => RpcError::Disconnected,
             RpcError::CorrelationMismatch { got } => RpcError::CorrelationMismatch { got: *got },
         }
@@ -373,7 +358,6 @@ impl std::fmt::Display for RpcError {
             RpcError::DeadlineExceeded => write!(f, "rpc deadline exceeded: expired work shed"),
             RpcError::Timeout => write!(f, "rpc call timed out"),
             RpcError::CircuitOpen => write!(f, "rpc call rejected: circuit breaker open"),
-            RpcError::WorkerPanic(m) => write!(f, "rpc fan-out worker panicked: {m}"),
             RpcError::Disconnected => write!(f, "rpc peer disconnected"),
             RpcError::CorrelationMismatch { got } => {
                 write!(f, "rpc response correlation id {got} matches no request")
@@ -431,18 +415,6 @@ mod tests {
     }
 
     #[test]
-    fn legacy_frame_without_deadline_decodes() {
-        // Re-create the pre-deadline encoding by hand.
-        let mut out = Vec::new();
-        crate::wire::write_uvarint(&mut out, 5);
-        crate::wire::write_str(&mut out, "get");
-        crate::wire::write_bytes(&mut out, b"key");
-        let req = Request::decode(&out).unwrap();
-        assert_eq!(req.seq, 5);
-        assert_eq!(req.deadline_us, 0);
-    }
-
-    #[test]
     fn response_round_trips_all_statuses() {
         for resp in [
             Response::ok(vec![9; 100]),
@@ -472,7 +444,6 @@ mod tests {
         assert!(RpcError::Io(std::io::Error::other("x")).is_retryable());
         assert!(!RpcError::Application("nope".into()).is_retryable());
         assert!(!RpcError::CircuitOpen.is_retryable());
-        assert!(!RpcError::WorkerPanic("boom".into()).is_retryable());
         assert!(!RpcError::Wire(WireError::UnexpectedEof).is_retryable());
         assert!(!RpcError::CorrelationMismatch { got: 7 }.is_retryable());
     }
@@ -495,33 +466,6 @@ mod tests {
         let back = Response::decode(&resp.encode()).unwrap();
         assert_eq!(back.corr, 12345);
         assert_eq!(resp, back);
-    }
-
-    #[test]
-    fn legacy_response_without_corr_falls_back_to_seq() {
-        // Re-create the pre-corr encoding by hand: seq, status, body.
-        let mut out = Vec::new();
-        crate::wire::write_uvarint(&mut out, 42);
-        out.push(0); // Status::Ok
-        crate::wire::write_bytes(&mut out, b"payload");
-        let resp = Response::decode(&out).unwrap();
-        assert_eq!(resp.seq, 42);
-        assert_eq!(
-            resp.corr, 42,
-            "legacy responses must correlate by sequence number"
-        );
-    }
-
-    #[test]
-    fn legacy_request_without_corr_decodes_as_uncorrelated() {
-        let mut out = Vec::new();
-        crate::wire::write_uvarint(&mut out, 5);
-        crate::wire::write_str(&mut out, "get");
-        crate::wire::write_bytes(&mut out, b"key");
-        crate::wire::write_uvarint(&mut out, 1_000); // deadline only (v2)
-        let req = Request::decode(&out).unwrap();
-        assert_eq!(req.deadline_us, 1_000);
-        assert_eq!(req.corr, 0);
     }
 
     #[test]
@@ -554,7 +498,6 @@ mod tests {
             RpcError::DeadlineExceeded,
             RpcError::Timeout,
             RpcError::CircuitOpen,
-            RpcError::WorkerPanic("p".into()),
             RpcError::Disconnected,
             RpcError::CorrelationMismatch { got: 8 },
         ];

@@ -18,10 +18,12 @@
 //!   and coalesce response bursts into single writes.
 //! * [`pool`] — fixed worker thread pools with *fast/slow lane* routing,
 //!   mirroring TAO's separate thread pools for cache hits and misses.
-//! * [`server`] / [`client`] — in-process and TCP transports with
-//!   synchronous calls and parallel fan-out.
-//! * [`resilient`] — a client wrapper adding deadlines, retries with
-//!   deterministic backoff, retry budgets, and circuit breaking from
+//! * [`server`] / [`client`] — in-process and TCP transports. Every
+//!   client implements one call primitive, [`Transport::call_batch`]; a
+//!   single call is a batch of one, and in-process fan-out dispatches the
+//!   whole batch into the server's worker pool.
+//! * [`resilient`] — a [`Transport`] wrapper adding deadlines, retries
+//!   with deterministic backoff, retry budgets, and circuit breaking from
 //!   [`dcperf_resilience`].
 //!
 //! # Examples
@@ -29,14 +31,14 @@
 //! An in-process echo service:
 //!
 //! ```
-//! use dcperf_rpc::{InProcServer, PoolConfig, Request, Response};
+//! use dcperf_rpc::{InProcServer, PoolConfig, Request, Response, Transport};
 //!
 //! let server = InProcServer::start(
 //!     |req: &Request| Response::ok(req.body.clone()),
 //!     PoolConfig::single_lane(2),
 //! );
 //! let client = server.client();
-//! let reply = client.call("echo", b"hello".to_vec())?;
+//! let reply = client.call("echo", b"hello".to_vec(), None)?;
 //! assert_eq!(reply.body, b"hello");
 //! server.shutdown();
 //! # Ok::<(), dcperf_rpc::RpcError>(())
@@ -55,11 +57,11 @@ pub mod stats;
 pub mod value;
 pub mod wire;
 
-pub use client::{FanoutResult, InProcClient, TcpClient, TcpClientPool};
+pub use client::{FanoutResult, InProcClient, TcpClient, TcpClientPool, Transport};
 pub use frame::{Request, Response, RpcError, Status};
 pub use pipeline::{PipelineConfig, PipelineStats};
 pub use pool::{Lane, PoolConfig, ThreadPool};
-pub use resilient::{ResilientClient, ResilientTransport};
+pub use resilient::ResilientClient;
 pub use server::{InProcServer, TcpServer};
 pub use stats::RpcStats;
 pub use value::Value;

@@ -31,8 +31,7 @@ impl PipelineConfig {
         }
     }
 
-    /// One request per turn: responses strictly in request order, exactly
-    /// the v1 wire behavior.
+    /// One request per turn: responses strictly in request order.
     pub fn disabled() -> Self {
         Self {
             max_inflight: 1,
@@ -44,11 +43,6 @@ impl PipelineConfig {
     pub fn with_max_batch(mut self, max_batch: usize) -> Self {
         self.max_batch = max_batch.max(1);
         self
-    }
-
-    /// Whether this configuration actually reads ahead.
-    pub fn is_pipelined(&self) -> bool {
-        self.max_inflight > 1
     }
 }
 
@@ -153,7 +147,6 @@ mod tests {
     #[test]
     fn config_defaults_are_pipelined() {
         let cfg = PipelineConfig::default();
-        assert!(cfg.is_pipelined());
         assert!(cfg.max_inflight > 1);
         assert!(cfg.max_batch > 1);
     }
@@ -161,7 +154,6 @@ mod tests {
     #[test]
     fn disabled_config_serializes_the_connection() {
         let cfg = PipelineConfig::disabled();
-        assert!(!cfg.is_pipelined());
         assert_eq!(cfg.max_inflight, 1);
     }
 

@@ -3,11 +3,12 @@
 //! deadlines.
 //!
 //! The wrapper composes the [`dcperf_resilience`] primitives around any
-//! transport that can issue a single attempt ([`ResilientTransport`]).
+//! [`Transport`], and is itself a [`Transport`].
 //! All randomness (backoff jitter) derives from a caller-provided seed
 //! and a per-call counter, so two runs with the same seed produce the
 //! same retry schedule — chaos benchmarks stay reproducible.
 
+use crate::client::Transport;
 use crate::frame::{Response, RpcError};
 use dcperf_resilience::{BreakerConfig, CircuitBreaker, RetryBudget, RetryPolicy};
 use dcperf_telemetry::{metrics, Counter, Telemetry};
@@ -16,124 +17,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// One attempt against the underlying transport.
-///
-/// `deadline` is the remaining per-attempt budget; implementations carry
-/// it in the request frame when the transport supports it.
-pub trait ResilientTransport {
-    /// Issues a single attempt (no retries at this layer).
-    ///
-    /// # Errors
-    ///
-    /// Returns the transport's typed [`RpcError`].
-    fn call_once(
-        &self,
-        method: &str,
-        body: Vec<u8>,
-        deadline: Option<Duration>,
-    ) -> Result<Response, RpcError>;
-
-    /// Issues one pipelined attempt per body (no retries at this layer).
-    ///
-    /// The default loops [`ResilientTransport::call_once`], so existing
-    /// transports keep working; pipelining transports override it to put
-    /// the whole burst in flight at once. Implementations must return
-    /// exactly one outcome per body, in issue order.
-    fn call_many_once(
-        &self,
-        method: &str,
-        bodies: Vec<Vec<u8>>,
-        deadline: Option<Duration>,
-    ) -> Vec<Result<Response, RpcError>> {
-        bodies
-            .into_iter()
-            .map(|body| self.call_once(method, body, deadline))
-            .collect()
-    }
-}
-
-impl ResilientTransport for crate::client::InProcClient {
-    fn call_once(
-        &self,
-        method: &str,
-        body: Vec<u8>,
-        deadline: Option<Duration>,
-    ) -> Result<Response, RpcError> {
-        match deadline {
-            Some(budget) => self.call_with_deadline(method, body, budget),
-            None => self.call(method, body),
-        }
-    }
-
-    fn call_many_once(
-        &self,
-        method: &str,
-        bodies: Vec<Vec<u8>>,
-        deadline: Option<Duration>,
-    ) -> Vec<Result<Response, RpcError>> {
-        match deadline {
-            Some(budget) => self.call_many_with_deadline(method, bodies, budget),
-            None => self.call_many(method, bodies),
-        }
-    }
-}
-
-/// A [`TcpClient`](crate::client::TcpClient) is single-connection and
-/// `&mut`; wrap it in a mutex to present the shared-attempt interface.
-impl ResilientTransport for std::sync::Mutex<crate::client::TcpClient> {
-    fn call_once(
-        &self,
-        method: &str,
-        body: Vec<u8>,
-        deadline: Option<Duration>,
-    ) -> Result<Response, RpcError> {
-        let mut client = self.lock().unwrap_or_else(|e| e.into_inner());
-        match deadline {
-            Some(budget) => client.call_with_deadline(method, body, budget),
-            None => client.call(method, body),
-        }
-    }
-
-    fn call_many_once(
-        &self,
-        method: &str,
-        bodies: Vec<Vec<u8>>,
-        deadline: Option<Duration>,
-    ) -> Vec<Result<Response, RpcError>> {
-        let mut client = self.lock().unwrap_or_else(|e| e.into_inner());
-        match deadline {
-            Some(budget) => client.call_many_with_deadline(method, bodies, budget),
-            None => client.call_many(method, bodies),
-        }
-    }
-}
-
-impl ResilientTransport for crate::client::TcpClientPool {
-    fn call_once(
-        &self,
-        method: &str,
-        body: Vec<u8>,
-        deadline: Option<Duration>,
-    ) -> Result<Response, RpcError> {
-        match deadline {
-            Some(budget) => self.call_with_deadline(method, body, budget),
-            None => self.call(method, body),
-        }
-    }
-
-    fn call_many_once(
-        &self,
-        method: &str,
-        bodies: Vec<Vec<u8>>,
-        deadline: Option<Duration>,
-    ) -> Vec<Result<Response, RpcError>> {
-        match deadline {
-            Some(budget) => self.call_many_with_deadline(method, bodies, budget),
-            None => self.call_many(method, bodies),
-        }
-    }
-}
-
 /// Retries, budget, breaker, and deadlines around a transport.
 ///
 /// Failure handling per attempt:
@@ -141,8 +24,8 @@ impl ResilientTransport for crate::client::TcpClientPool {
 /// * breaker open → [`RpcError::CircuitOpen`] without touching the wire;
 /// * retryable errors (overload, timeout, I/O, expired deadline,
 ///   disconnect) consume a retry-budget token and back off;
-/// * non-retryable errors (application errors, worker panics, malformed
-///   frames) return immediately;
+/// * non-retryable errors (application errors, malformed frames) return
+///   immediately;
 /// * transport-level failures count against the breaker; application
 ///   errors count as breaker successes (the service *answered*).
 pub struct ResilientClient<C> {
@@ -166,7 +49,7 @@ impl<C> std::fmt::Debug for ResilientClient<C> {
     }
 }
 
-impl<C: ResilientTransport> ResilientClient<C> {
+impl<C: Transport> ResilientClient<C> {
     /// Wraps `inner` with `policy`, registering resilience counters
     /// (`rpc.resilient.*`, `rpc.breaker.*`) in `telemetry`.
     ///
@@ -220,69 +103,47 @@ impl<C: ResilientTransport> ResilientClient<C> {
         self
     }
 
-    /// Calls `method`, retrying per the policy.
-    ///
-    /// # Errors
-    ///
-    /// The final attempt's error, or [`RpcError::CircuitOpen`] if the
-    /// breaker rejected the call.
-    pub fn call(&self, method: &str, body: Vec<u8>) -> Result<Response, RpcError> {
-        // ordering: call index only seeds jitter; uniqueness is all that matters
-        let call_index = self.calls.fetch_add(1, Ordering::Relaxed);
-        let attempt_seed = self.seed ^ SplitMix64::mix(call_index.wrapping_add(1));
-        let mut delays = self.policy.schedule(attempt_seed);
-        // Each logical call deposits into the shared retry budget; only
-        // retries spend, so sustained failure caps the retry ratio.
-        self.budget.deposit();
-        loop {
-            if !self.breaker.allow() {
-                return Err(RpcError::CircuitOpen);
-            }
-            match self
-                .inner
-                .call_once(method, body.clone(), self.attempt_deadline)
-            {
-                Ok(resp) => {
-                    self.breaker.record_success();
-                    return Ok(resp);
-                }
-                Err(err) => {
-                    if counts_as_breaker_failure(&err) {
-                        self.breaker.record_failure();
-                    } else {
-                        self.breaker.record_success();
-                    }
-                    if !err.is_retryable() {
-                        return Err(err);
-                    }
-                    let Some(delay) = delays.next() else {
-                        return Err(err);
-                    };
-                    if !self.budget.try_spend() {
-                        self.budget_exhausted.inc();
-                        return Err(err);
-                    }
-                    self.retries.inc();
-                    if !delay.is_zero() {
-                        std::thread::sleep(delay);
-                    }
-                }
-            }
-        }
+    /// Retries issued across all calls.
+    pub fn retries(&self) -> u64 {
+        self.retries.get()
     }
 
-    /// Pipelined batch call: all bodies go down as one burst per attempt
-    /// round, retrying only the elements that failed retryably.
+    /// Calls abandoned because the retry budget was empty.
+    pub fn budget_exhausted(&self) -> u64 {
+        self.budget_exhausted.get()
+    }
+
+    /// The breaker guarding this client.
+    pub fn breaker(&self) -> &CircuitBreaker {
+        &self.breaker
+    }
+
+    /// The wrapped transport.
+    pub fn inner(&self) -> &C {
+        &self.inner
+    }
+}
+
+impl<C: Transport> Transport for ResilientClient<C> {
+    /// All bodies go down as one burst per attempt round, retrying only
+    /// the elements that failed retryably; a single call is a burst of
+    /// one. `deadline`, when given, replaces the client's per-attempt
+    /// deadline.
     ///
-    /// Resilience semantics per element match [`ResilientClient::call`]:
-    /// each correlated outcome is recorded against the breaker exactly
+    /// Each correlated outcome is recorded against the breaker exactly
     /// once per attempt (a burst of N failures is N breaker outcomes, not
     /// N × attempts, and never double-counted within a round), each
     /// element deposits into the retry budget as its own logical call,
     /// and each retried element spends its own budget token. The backoff
     /// schedule is drawn once per batch, so a retry round sleeps once,
     /// not once per element.
-    pub fn call_many(&self, method: &str, bodies: Vec<Vec<u8>>) -> Vec<Result<Response, RpcError>> {
+    fn call_batch(
+        &self,
+        method: &str,
+        bodies: Vec<Vec<u8>>,
+        deadline: Option<Duration>,
+    ) -> Vec<Result<Response, RpcError>> {
+        let deadline = deadline.or(self.attempt_deadline);
         let n = bodies.len();
         // ordering: call index only seeds jitter; uniqueness is all that matters
         let call_index = self.calls.fetch_add(1, Ordering::Relaxed);
@@ -302,9 +163,7 @@ impl<C: ResilientTransport> ResilientClient<C> {
             }
             let attempt_bodies: Vec<Vec<u8>> =
                 outstanding.iter().map(|(_, body)| body.clone()).collect();
-            let outcomes = self
-                .inner
-                .call_many_once(method, attempt_bodies, self.attempt_deadline);
+            let outcomes = self.inner.call_batch(method, attempt_bodies, deadline);
             let mut retryable: Vec<(usize, Vec<u8>, RpcError)> = Vec::new();
             for ((idx, body), outcome) in std::mem::take(&mut outstanding).into_iter().zip(outcomes)
             {
@@ -355,26 +214,6 @@ impl<C: ResilientTransport> ResilientClient<C> {
             .map(|slot| slot.unwrap_or(Err(RpcError::Disconnected)))
             .collect()
     }
-
-    /// Retries issued across all calls.
-    pub fn retries(&self) -> u64 {
-        self.retries.get()
-    }
-
-    /// Calls abandoned because the retry budget was empty.
-    pub fn budget_exhausted(&self) -> u64 {
-        self.budget_exhausted.get()
-    }
-
-    /// The breaker guarding this client.
-    pub fn breaker(&self) -> &CircuitBreaker {
-        &self.breaker
-    }
-
-    /// The wrapped transport.
-    pub fn inner(&self) -> &C {
-        &self.inner
-    }
 }
 
 /// Whether an error reflects the *backend's* health (trips the breaker)
@@ -385,8 +224,7 @@ fn counts_as_breaker_failure(err: &RpcError) -> bool {
         | RpcError::Overloaded
         | RpcError::DeadlineExceeded
         | RpcError::Timeout
-        | RpcError::Disconnected
-        | RpcError::WorkerPanic(_) => true,
+        | RpcError::Disconnected => true,
         RpcError::Application(_)
         | RpcError::Wire(_)
         | RpcError::CircuitOpen
@@ -418,19 +256,24 @@ mod tests {
         }
     }
 
-    impl ResilientTransport for Scripted {
-        fn call_once(
+    impl Transport for Scripted {
+        fn call_batch(
             &self,
             _method: &str,
-            _body: Vec<u8>,
+            bodies: Vec<Vec<u8>>,
             _deadline: Option<Duration>,
-        ) -> Result<Response, RpcError> {
-            self.attempts.fetch_add(1, Ordering::Relaxed);
-            self.outcomes
-                .lock()
-                .unwrap()
-                .pop()
-                .unwrap_or(Err(RpcError::Disconnected))
+        ) -> Vec<Result<Response, RpcError>> {
+            bodies
+                .iter()
+                .map(|_| {
+                    self.attempts.fetch_add(1, Ordering::Relaxed);
+                    self.outcomes
+                        .lock()
+                        .unwrap()
+                        .pop()
+                        .unwrap_or(Err(RpcError::Disconnected))
+                })
+                .collect()
         }
     }
 
@@ -447,7 +290,7 @@ mod tests {
             Ok(Response::ok(vec![9])),
         ]);
         let client = ResilientClient::new(transport, fast_policy(4), &telemetry);
-        let resp = client.call("m", vec![]).unwrap();
+        let resp = client.call("m", vec![], None).unwrap();
         assert_eq!(resp.body, vec![9]);
         assert_eq!(client.retries(), 2);
         assert_eq!(client.inner().attempts.load(Ordering::Relaxed), 3);
@@ -461,7 +304,7 @@ mod tests {
             Ok(Response::ok(vec![])),
         ]);
         let client = ResilientClient::new(transport, fast_policy(4), &telemetry);
-        match client.call("m", vec![]) {
+        match client.call("m", vec![], None) {
             Err(RpcError::Application(m)) => assert_eq!(m, "bad key"),
             other => panic!("expected fail-fast application error, got {other:?}"),
         }
@@ -477,7 +320,7 @@ mod tests {
             Err(RpcError::Overloaded),
         ]);
         let client = ResilientClient::new(transport, fast_policy(3), &telemetry);
-        match client.call("m", vec![]) {
+        match client.call("m", vec![], None) {
             Err(RpcError::Overloaded) => {}
             other => panic!("expected last error, got {other:?}"),
         }
@@ -494,7 +337,7 @@ mod tests {
         assert!(budget.try_spend());
         let client =
             ResilientClient::new(transport, fast_policy(4), &telemetry).with_budget(budget);
-        match client.call("m", vec![]) {
+        match client.call("m", vec![], None) {
             Err(RpcError::Timeout) => {}
             other => panic!("expected budget-blocked timeout, got {other:?}"),
         }
@@ -519,7 +362,7 @@ mod tests {
         breaker.record_failure(); // trips at min_calls=1
         let client = ResilientClient::new(transport, RetryPolicy::no_retries(), &telemetry)
             .with_breaker(Arc::clone(&breaker));
-        match client.call("m", vec![]) {
+        match client.call("m", vec![], None) {
             Err(RpcError::CircuitOpen) => {}
             other => panic!("expected CircuitOpen, got {other:?}"),
         }
@@ -550,7 +393,7 @@ mod tests {
             .with_breaker(Arc::clone(&breaker));
         let mut saw_circuit_open = false;
         for _ in 0..8 {
-            if matches!(client.call("m", vec![]), Err(RpcError::CircuitOpen)) {
+            if matches!(client.call("m", vec![], None), Err(RpcError::CircuitOpen)) {
                 saw_circuit_open = true;
                 break;
             }
@@ -570,7 +413,7 @@ mod tests {
         let client =
             ResilientClient::new(server.client(), fast_policy(3), &telemetry_snapshot_source)
                 .with_attempt_deadline(Duration::from_secs(5));
-        let resp = client.call("echo", vec![1, 2]).unwrap();
+        let resp = client.call("echo", vec![1, 2], None).unwrap();
         assert_eq!(resp.body, vec![1, 2]);
         assert_eq!(resp.status, Status::Ok);
         assert_eq!(client.retries(), 0);

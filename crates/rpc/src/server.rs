@@ -9,7 +9,7 @@
 
 use crate::frame::{append_frame, read_frame, Request, Response};
 use crate::pipeline::{PipelineConfig, PipelineStats};
-use crate::pool::{Lane, PoolConfig, SpawnError, ThreadPool};
+use crate::pool::{Lane, PoolConfig, ThreadPool};
 use crate::stats::RpcStats;
 use crossbeam::channel;
 use dcperf_resilience::Deadline;
@@ -81,15 +81,9 @@ impl ServerCore {
         }
     }
 
-    /// Dispatches a request through the pool; `reply` receives the
-    /// response. `blocking` selects closed-loop (wait for queue space) vs
-    /// open-loop (shed on full queue) semantics.
-    pub(crate) fn dispatch(
-        &self,
-        req: Request,
-        blocking: bool,
-        reply: impl FnOnce(Response) + Send + 'static,
-    ) {
+    /// Dispatches a request through the pool, waiting for queue space;
+    /// `reply` receives the response.
+    pub(crate) fn dispatch(&self, req: Request, reply: impl FnOnce(Response) + Send + 'static) {
         // Pin the wire budget (relative microseconds) to an absolute
         // instant the moment the request enters the server.
         let deadline = (req.deadline_us > 0).then(|| Deadline::from_budget_us(req.deadline_us));
@@ -147,20 +141,9 @@ impl ServerCore {
             resp.corr = corr;
             reply(resp);
         };
-        let outcome = if blocking {
-            self.pool.spawn_blocking(lane, job)
-        } else {
-            self.pool.spawn(lane, job)
-        };
-        match outcome {
-            Ok(()) => {}
-            Err(SpawnError::QueueFull) | Err(SpawnError::Shutdown) => {
-                // The job was never queued, so `reply` was consumed by the
-                // closure that the pool rejected and dropped; overload is
-                // signalled through the stats instead and the caller
-                // observes a dropped reply channel.
-            }
-        }
+        // A shut-down pool drops the job, and with it `reply`: the caller
+        // observes a dropped reply channel.
+        let _ = self.pool.spawn_blocking(lane, job);
     }
 }
 
@@ -265,56 +248,11 @@ impl std::fmt::Debug for TcpServer {
 }
 
 impl TcpServer {
-    /// Binds `addr` (use port 0 for an ephemeral port) and starts serving.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the listener cannot be bound.
-    pub fn bind<H>(addr: &str, handler: H, config: PoolConfig) -> std::io::Result<Self>
-    where
-        H: Fn(&Request) -> Response + Send + Sync + 'static,
-    {
-        Self::bind_with_classifier(addr, handler, |_| Lane::Fast, config)
-    }
-
-    /// Binds with an explicit pipelining configuration (every request
-    /// routed to the fast lane). Use [`PipelineConfig::disabled`] for
-    /// strict one-request-per-turn v1 semantics.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the listener cannot be bound.
-    pub fn bind_with_pipeline<H>(
-        addr: &str,
-        handler: H,
-        config: PoolConfig,
-        pipeline: PipelineConfig,
-    ) -> std::io::Result<Self>
-    where
-        H: Fn(&Request) -> Response + Send + Sync + 'static,
-    {
-        Self::bind_full(addr, handler, |_| Lane::Fast, config, pipeline)
-    }
-
-    /// Binds with a fast/slow classifier.
-    ///
-    /// # Errors
-    ///
-    /// Returns an I/O error if the listener cannot be bound.
-    pub fn bind_with_classifier<H, C>(
-        addr: &str,
-        handler: H,
-        classifier: C,
-        config: PoolConfig,
-    ) -> std::io::Result<Self>
-    where
-        H: Fn(&Request) -> Response + Send + Sync + 'static,
-        C: Fn(&Request) -> Lane + Send + Sync + 'static,
-    {
-        Self::bind_full(addr, handler, classifier, config, PipelineConfig::default())
-    }
-
-    /// Binds with a classifier and an explicit pipelining configuration.
+    /// Binds `addr` (use port 0 for an ephemeral port) and starts serving:
+    /// `classifier` routes each request to a lane of the `config` pool, and
+    /// `pipeline` sets each connection's read-ahead window. Use
+    /// [`PipelineConfig::disabled`] for strict one-request-per-turn
+    /// connections.
     ///
     /// # Errors
     ///
@@ -387,8 +325,7 @@ impl TcpServer {
     ///   burst of completions costs one syscall, not `max_batch`.
     ///
     /// With `max_inflight == 1` the window admits a single request at a
-    /// time, which degenerates to the v1 one-request-per-turn behavior
-    /// (responses strictly in request order).
+    /// time: one request per turn, responses strictly in request order.
     fn serve_connection(stream: TcpStream, core: Arc<ServerCore>, stop: Arc<AtomicBool>) {
         let cfg = core.pipeline_cfg;
         // A read timeout lets the loop observe the stop flag even while a
@@ -495,7 +432,7 @@ impl TcpServer {
                 _inflight: core.pipeline.track(),
             };
             let resp_tx = resp_tx.clone();
-            core.dispatch(req, true, move |resp| {
+            core.dispatch(req, move |resp| {
                 let payload = resp.encode();
                 let _ = resp_tx.send(payload);
                 drop(slot);
@@ -560,18 +497,30 @@ impl Drop for TcpServer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::client::TcpClient;
+    use crate::client::{TcpClient, Transport};
     use crate::frame::Status;
+    use std::time::Duration;
 
     fn echo(req: &Request) -> Response {
         Response::ok(req.body.clone())
+    }
+
+    fn bind_echo(threads: usize) -> TcpServer {
+        TcpServer::bind_full(
+            "127.0.0.1:0",
+            echo,
+            |_| Lane::Fast,
+            PoolConfig::single_lane(threads),
+            PipelineConfig::default(),
+        )
+        .unwrap()
     }
 
     #[test]
     fn inproc_round_trip() {
         let server = InProcServer::start(echo, PoolConfig::single_lane(2));
         let client = server.client();
-        let resp = client.call("echo", vec![1, 2, 3]).unwrap();
+        let resp = client.call("echo", vec![1, 2, 3], None).unwrap();
         assert_eq!(resp.body, vec![1, 2, 3]);
         assert_eq!(resp.status, Status::Ok);
         server.shutdown();
@@ -585,7 +534,7 @@ mod tests {
             let client = server.client();
             handles.push(std::thread::spawn(move || {
                 for i in 0..100u8 {
-                    let resp = client.call("echo", vec![t, i]).unwrap();
+                    let resp = client.call("echo", vec![t, i], None).unwrap();
                     assert_eq!(resp.body, vec![t, i]);
                 }
             }));
@@ -619,20 +568,20 @@ mod tests {
             PoolConfig::fast_slow(1, 1),
         );
         let client = server.client();
-        client.call("hit", vec![]).unwrap();
-        client.call("miss", vec![]).unwrap();
-        client.call("miss", vec![]).unwrap();
+        client.call("hit", vec![], None).unwrap();
+        client.call("miss", vec![], None).unwrap();
+        client.call("miss", vec![], None).unwrap();
         assert_eq!(slow_calls.load(Ordering::Relaxed), 2);
         server.shutdown();
     }
 
     #[test]
     fn tcp_round_trip() {
-        let server = TcpServer::bind("127.0.0.1:0", echo, PoolConfig::single_lane(2)).unwrap();
+        let server = bind_echo(2);
         let addr = server.local_addr();
-        let mut client = TcpClient::connect(addr).unwrap();
+        let client = TcpClient::connect(addr).unwrap();
         for i in 0..50u8 {
-            let resp = client.call("echo", vec![i; 10]).unwrap();
+            let resp = client.call("echo", vec![i; 10], None).unwrap();
             assert_eq!(resp.body, vec![i; 10]);
         }
         server.shutdown();
@@ -640,14 +589,14 @@ mod tests {
 
     #[test]
     fn tcp_multiple_connections() {
-        let server = TcpServer::bind("127.0.0.1:0", echo, PoolConfig::single_lane(4)).unwrap();
+        let server = bind_echo(4);
         let addr = server.local_addr();
         let mut handles = Vec::new();
         for t in 0..4 {
             handles.push(std::thread::spawn(move || {
-                let mut client = TcpClient::connect(addr).unwrap();
+                let client = TcpClient::connect(addr).unwrap();
                 for i in 0..25u8 {
-                    let resp = client.call("echo", vec![t, i]).unwrap();
+                    let resp = client.call("echo", vec![t, i], None).unwrap();
                     assert_eq!(resp.body, vec![t, i]);
                 }
             }));
@@ -660,14 +609,16 @@ mod tests {
 
     #[test]
     fn tcp_application_error_propagates() {
-        let server = TcpServer::bind(
+        let server = TcpServer::bind_full(
             "127.0.0.1:0",
             |_req: &Request| Response::error("nope"),
+            |_| Lane::Fast,
             PoolConfig::single_lane(1),
+            PipelineConfig::default(),
         )
         .unwrap();
-        let mut client = TcpClient::connect(server.local_addr()).unwrap();
-        let err = client.call("x", vec![]).unwrap_err();
+        let client = TcpClient::connect(server.local_addr()).unwrap();
+        let err = client.call("x", vec![], None).unwrap_err();
         assert!(err.to_string().contains("nope"));
         server.shutdown();
     }
@@ -688,7 +639,7 @@ mod tests {
         // 1us budget: expired by the time dispatch sees it (encode +
         // decode alone take longer).
         let err = client
-            .call_with_deadline("x", vec![], std::time::Duration::from_micros(1))
+            .call("x", vec![], Some(Duration::from_micros(1)))
             .unwrap_err();
         assert!(matches!(err, crate::frame::RpcError::DeadlineExceeded));
         assert!(!ran.load(Ordering::Relaxed), "expired work must not run");
@@ -702,7 +653,7 @@ mod tests {
         let server = InProcServer::start(echo, PoolConfig::single_lane(2));
         let client = server.client();
         let resp = client
-            .call_with_deadline("echo", vec![7], std::time::Duration::from_secs(5))
+            .call("echo", vec![7], Some(Duration::from_secs(5)))
             .unwrap();
         assert_eq!(resp.body, vec![7]);
         assert_eq!(server.stats().deadline_shed(), 0);
@@ -718,18 +669,18 @@ mod tests {
         let plan = Arc::new(FaultPlan::new(7).with_error_rate(1.0));
         server.install_fault_plan(Some(Arc::clone(&plan)));
         let client = server.client();
-        let err = client.call("echo", vec![1]).unwrap_err();
+        let err = client.call("echo", vec![1], None).unwrap_err();
         assert!(matches!(err, crate::frame::RpcError::Application(_)));
         assert_eq!(plan.injected_errors(), 1);
         // Clearing the plan restores normal service.
         server.install_fault_plan(None);
-        assert!(client.call("echo", vec![2]).is_ok());
+        assert!(client.call("echo", vec![2], None).is_ok());
         server.shutdown();
     }
 
     #[test]
     fn tcp_shutdown_is_idempotent_via_drop() {
-        let server = TcpServer::bind("127.0.0.1:0", echo, PoolConfig::single_lane(1)).unwrap();
+        let server = bind_echo(1);
         drop(server); // must not hang
     }
 }

@@ -140,21 +140,6 @@ impl<'a> Reader<'a> {
         }
     }
 
-    /// Reads a trailing *optional* varint: frames grow by appending
-    /// fields, so a decoder built against a newer schema reads `default`
-    /// when an older encoder stopped short of the field.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Reader::read_uvarint`] when bytes are present.
-    pub fn read_trailing_uvarint(&mut self, default: u64) -> Result<u64, WireError> {
-        if self.is_empty() {
-            Ok(default)
-        } else {
-            self.read_uvarint()
-        }
-    }
-
     /// Reads a zigzag varint.
     ///
     /// # Errors
@@ -331,25 +316,6 @@ mod tests {
         let mut buf = Vec::new();
         write_bytes(&mut buf, &[0xFF, 0xFE]);
         assert_eq!(Reader::new(&buf).read_str(), Err(WireError::InvalidUtf8));
-    }
-
-    #[test]
-    fn trailing_uvarint_defaults_on_exhausted_buffer() {
-        let mut buf = Vec::new();
-        write_uvarint(&mut buf, 7);
-        let mut r = Reader::new(&buf);
-        assert_eq!(r.read_uvarint().unwrap(), 7);
-        assert_eq!(r.read_trailing_uvarint(99).unwrap(), 99);
-        // With bytes present it reads them, and still errors on garbage.
-        write_uvarint(&mut buf, 300);
-        let mut r = Reader::new(&buf);
-        r.read_uvarint().unwrap();
-        assert_eq!(r.read_trailing_uvarint(99).unwrap(), 300);
-        let truncated = [0x80u8];
-        assert_eq!(
-            Reader::new(&truncated).read_trailing_uvarint(0),
-            Err(WireError::UnexpectedEof)
-        );
     }
 
     #[test]

@@ -7,16 +7,18 @@
 
 use dcperf_resilience::{BreakerConfig, CircuitBreaker, FaultPlan, LatencyFault, RetryPolicy};
 use dcperf_rpc::{
-    PipelineConfig, PoolConfig, Request, ResilientClient, Response, RpcError, TcpClient, TcpServer,
+    Lane, PipelineConfig, PoolConfig, Request, ResilientClient, Response, RpcError, TcpClient,
+    TcpServer, Transport,
 };
 use dcperf_telemetry::Telemetry;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn start_server() -> TcpServer {
-    TcpServer::bind_with_pipeline(
+    TcpServer::bind_full(
         "127.0.0.1:0",
         |req: &Request| Response::ok(req.body.clone()),
+        |_| Lane::Fast,
         PoolConfig::single_lane(4).with_queue_depth(256),
         PipelineConfig::default(),
     )
@@ -34,16 +36,14 @@ fn pipelined_batch_honors_per_request_deadlines() {
     )));
 
     let telemetry = Telemetry::new();
-    let inner = Mutex::new(
-        TcpClient::connect(server.local_addr())
-            .expect("connect")
-            .with_window(8),
-    );
+    let inner = TcpClient::connect(server.local_addr())
+        .expect("connect")
+        .with_window(8);
     let client = ResilientClient::new(inner, RetryPolicy::no_retries(), &telemetry)
         .with_attempt_deadline(Duration::from_millis(5));
 
     let bodies: Vec<Vec<u8>> = (0..8u64).map(|i| i.to_le_bytes().to_vec()).collect();
-    let outcomes = client.call_many("echo", bodies);
+    let outcomes = client.call_batch("echo", bodies, None);
     assert_eq!(outcomes.len(), 8);
     for (i, outcome) in outcomes.iter().enumerate() {
         match outcome {
@@ -66,11 +66,9 @@ fn breaker_counts_each_correlated_failure_once() {
         min_calls: 8,
         ..BreakerConfig::default()
     }));
-    let inner = Mutex::new(
-        TcpClient::connect(server.local_addr())
-            .expect("connect")
-            .with_window(4),
-    );
+    let inner = TcpClient::connect(server.local_addr())
+        .expect("connect")
+        .with_window(4);
     let client = ResilientClient::new(inner, RetryPolicy::no_retries(), &telemetry)
         .with_attempt_deadline(Duration::from_millis(5))
         .with_breaker(Arc::clone(&breaker));
@@ -85,7 +83,7 @@ fn breaker_counts_each_correlated_failure_once() {
     // window holds 4 outcomes — below min_calls, so the breaker must
     // still be closed. Double-counting would put 8 in the window and
     // trip it right here.
-    let first = client.call_many("echo", burst(1));
+    let first = client.call_batch("echo", burst(1), None);
     assert!(first.iter().all(Result::is_err), "all injected calls fail");
     assert_eq!(
         breaker.open_transitions(),
@@ -96,7 +94,7 @@ fn breaker_counts_each_correlated_failure_once() {
 
     // Burst 2: four more. Now the window holds exactly 8 failures and
     // the breaker opens — once.
-    let second = client.call_many("echo", burst(2));
+    let second = client.call_batch("echo", burst(2), None);
     assert!(second.iter().all(Result::is_err));
     assert_eq!(
         breaker.open_transitions(),

@@ -4,7 +4,9 @@
 //! observes the order responses actually come back in.
 
 use dcperf_rpc::frame::{read_frame, write_frame};
-use dcperf_rpc::{Lane, PipelineConfig, PoolConfig, Request, Response, TcpServer};
+use dcperf_rpc::{
+    Lane, PipelineConfig, PoolConfig, Request, Response, TcpClient, TcpServer, Transport,
+};
 use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
@@ -89,8 +91,8 @@ fn slow_head_does_not_block_fast_tail() {
 #[test]
 fn disabled_pipeline_serializes_the_window() {
     // With max_inflight == 1 the same burst is served strictly in order:
-    // the v1 degenerate mode.
-    let server = TcpServer::bind_with_pipeline(
+    // the one-request-per-turn degenerate mode.
+    let server = TcpServer::bind_full(
         "127.0.0.1:0",
         |req: &Request| {
             if req.method == "slow" {
@@ -98,6 +100,7 @@ fn disabled_pipeline_serializes_the_window() {
             }
             Response::ok(req.body.clone())
         },
+        |_| Lane::Fast,
         PoolConfig::single_lane(4).with_queue_depth(256),
         PipelineConfig::disabled(),
     )
@@ -121,5 +124,37 @@ fn disabled_pipeline_serializes_the_window() {
         arrived.push(Response::decode(&frame).expect("decodes").corr);
     }
     assert_eq!(arrived, vec![1, 2, 3], "one-at-a-time mode preserves order");
+    server.shutdown();
+}
+
+#[test]
+fn pipelining_client_works_against_disabled_server() {
+    let server = TcpServer::bind_full(
+        "127.0.0.1:0",
+        |req: &Request| Response::ok(req.body.clone()),
+        |_| Lane::Fast,
+        PoolConfig::single_lane(2).with_queue_depth(64),
+        PipelineConfig::disabled(),
+    )
+    .expect("bind echo server");
+    let mut client = TcpClient::connect(server.local_addr())
+        .expect("connect")
+        .with_window(8);
+
+    // Single calls.
+    for i in 0..4u64 {
+        let resp = client
+            .call("echo", i.to_le_bytes().to_vec(), None)
+            .expect("call");
+        assert_eq!(resp.body, i.to_le_bytes().to_vec());
+    }
+
+    // A full batch: the disabled server serves the window one at a time
+    // (in order), which the correlation matching handles transparently.
+    let bodies: Vec<Vec<u8>> = (0..8u64).map(|i| i.to_le_bytes().to_vec()).collect();
+    for (i, outcome) in client.call_many("echo", bodies).into_iter().enumerate() {
+        let resp = outcome.expect("batched call against disabled server succeeds");
+        assert_eq!(resp.body, (i as u64).to_le_bytes().to_vec());
+    }
     server.shutdown();
 }

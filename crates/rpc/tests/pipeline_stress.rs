@@ -7,7 +7,9 @@
 //! Runs identically with and without `--features fault-injection` (no
 //! plan is installed, so the injection hook must be inert).
 
-use dcperf_rpc::{PipelineConfig, PoolConfig, Request, Response, TcpClient, TcpClientPool};
+use dcperf_rpc::{
+    Lane, PipelineConfig, PoolConfig, Request, Response, TcpClient, TcpClientPool, Transport,
+};
 use std::net::SocketAddr;
 use std::sync::Arc;
 
@@ -22,9 +24,10 @@ fn payload(thread: usize, batch: usize, slot: usize) -> Vec<u8> {
 }
 
 fn start_echo_server() -> (dcperf_rpc::TcpServer, SocketAddr) {
-    let server = dcperf_rpc::TcpServer::bind_with_pipeline(
+    let server = dcperf_rpc::TcpServer::bind_full(
         "127.0.0.1:0",
         |req: &Request| Response::ok(req.body.clone()),
+        |_| Lane::Fast,
         PoolConfig::single_lane(4).with_queue_depth(1024),
         PipelineConfig::default(),
     )
@@ -80,14 +83,14 @@ fn shared_pool_pipelines_batches_down_single_connections() {
                     let bodies: Vec<Vec<u8>> = (0..WINDOW)
                         .map(|slot| payload(thread, batch, slot))
                         .collect();
-                    let outcomes = pool.call_many("echo", bodies);
+                    let outcomes = pool.call_batch("echo", bodies, None);
                     for (slot, outcome) in outcomes.into_iter().enumerate() {
                         let resp = outcome.expect("pooled batch call succeeds");
                         assert_eq!(resp.body, payload(thread, batch, slot));
                     }
                     // Interleave some single calls through the same pool.
                     let single = pool
-                        .call("echo", payload(thread, batch, usize::MAX))
+                        .call("echo", payload(thread, batch, usize::MAX), None)
                         .expect("pooled single call succeeds");
                     assert_eq!(single.body, payload(thread, batch, usize::MAX));
                 }
@@ -112,8 +115,8 @@ fn inproc_call_many_matches_out_of_order_completions() {
                     let bodies: Vec<Vec<u8>> = (0..WINDOW)
                         .map(|slot| payload(thread, batch, slot))
                         .collect();
-                    for (slot, outcome) in client.call_many("echo", bodies).into_iter().enumerate()
-                    {
+                    let outcomes = client.call_batch("echo", bodies, None);
+                    for (slot, outcome) in outcomes.into_iter().enumerate() {
                         let resp = outcome.expect("in-proc batch call succeeds");
                         assert_eq!(resp.body, payload(thread, batch, slot));
                     }

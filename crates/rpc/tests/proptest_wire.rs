@@ -7,6 +7,18 @@ use dcperf_rpc::{frame, Request, Response, Value};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 
+/// Whether a decode failure is one of the typed [`WireError`]s.
+fn is_typed(e: &WireError) -> bool {
+    matches!(
+        e,
+        WireError::UnexpectedEof
+            | WireError::VarintOverflow
+            | WireError::InvalidLength(_)
+            | WireError::UnknownTag(_)
+            | WireError::InvalidUtf8
+    )
+}
+
 /// Strategy for arbitrary (bounded-depth) RPC values.
 fn value_strategy() -> impl Strategy<Value = Value> {
     let leaf = prop_oneof![
@@ -111,9 +123,10 @@ proptest! {
         let _ = Response::decode(&data);
     }
 
-    /// Byte-mutation fuzz: flipping any byte of a valid encoding (or
-    /// truncating it) must either still decode or fail with a *typed*
-    /// [`WireError`] — never a panic, never a mystery error.
+    /// Byte-mutation fuzz: flipping any byte of a valid encoding must
+    /// either still decode or fail with a *typed* [`WireError`] — never a
+    /// panic, never a mystery error. Every field is required, so every
+    /// strict prefix of a valid encoding must fail typed.
     #[test]
     fn mutated_requests_fail_typed(
         seq in any::<u64>(),
@@ -123,7 +136,6 @@ proptest! {
         corr in any::<u64>(),
         flip_at in any::<usize>(),
         flip_bits in 1u8..255,
-        truncate_to in any::<usize>(),
     ) {
         let req = Request { seq, method, body, deadline_us, corr };
         let mut bytes = req.encode();
@@ -133,32 +145,16 @@ proptest! {
         bytes[idx] ^= flip_bits;
         match Request::decode(&bytes) {
             Ok(_) => {} // mutation landed in a don't-care position
-            Err(e) => prop_assert!(matches!(
-                e,
-                WireError::UnexpectedEof
-                    | WireError::VarintOverflow
-                    | WireError::InvalidLength(_)
-                    | WireError::UnknownTag(_)
-                    | WireError::InvalidUtf8
-            )),
+            Err(e) => prop_assert!(is_typed(&e)),
         }
 
         // Truncation of the *unmutated* encoding.
         let intact = req.encode();
-        let cut = truncate_to % (intact.len() + 1);
-        match Request::decode(&intact[..cut]) {
-            // A cut that lands exactly on the end of a trailing optional
-            // field (corr, deadline) still decodes; anything else must be
-            // a typed failure.
-            Ok(back) => prop_assert_eq!(back.seq, seq),
-            Err(e) => prop_assert!(matches!(
-                e,
-                WireError::UnexpectedEof
-                    | WireError::VarintOverflow
-                    | WireError::InvalidLength(_)
-                    | WireError::UnknownTag(_)
-                    | WireError::InvalidUtf8
-            )),
+        for cut in 0..intact.len() {
+            match Request::decode(&intact[..cut]) {
+                Ok(back) => prop_assert!(false, "{cut}-byte prefix decoded: {back:?}"),
+                Err(e) => prop_assert!(is_typed(&e)),
+            }
         }
     }
 
@@ -178,14 +174,16 @@ proptest! {
         bytes[idx] ^= flip_bits;
         match Response::decode(&bytes) {
             Ok(_) => {}
-            Err(e) => prop_assert!(matches!(
-                e,
-                WireError::UnexpectedEof
-                    | WireError::VarintOverflow
-                    | WireError::InvalidLength(_)
-                    | WireError::UnknownTag(_)
-                    | WireError::InvalidUtf8
-            )),
+            Err(e) => prop_assert!(is_typed(&e)),
+        }
+
+        // Truncation of the *unmutated* encoding.
+        let intact = resp.encode();
+        for cut in 0..intact.len() {
+            match Response::decode(&intact[..cut]) {
+                Ok(back) => prop_assert!(false, "{cut}-byte prefix decoded: {back:?}"),
+                Err(e) => prop_assert!(is_typed(&e)),
+            }
         }
     }
 }

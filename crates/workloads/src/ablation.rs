@@ -16,7 +16,7 @@
 //! the architectural difference on the running host.
 
 use dcperf_kvstore::{BackingStore, BackingStoreConfig, Cache, CacheConfig};
-use dcperf_rpc::{InProcClient, InProcServer, Lane, PoolConfig, Request, Response};
+use dcperf_rpc::{InProcClient, InProcServer, Lane, PoolConfig, Request, Response, Transport};
 use dcperf_util::{Rng, SplitMix64, Xoshiro256pp, Zipf};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -93,17 +93,17 @@ fn drive_cache_arch(
                 while started.elapsed() < duration {
                     let key = (SplitMix64::mix(zipf.sample(&mut rng)) % key_space).to_le_bytes();
                     if read_through {
-                        let _ = client.call("get_rt", key.to_vec());
+                        let _ = client.call("get_rt", key.to_vec(), None);
                         rpc_calls.fetch_add(1, Ordering::Relaxed);
                     } else {
                         // Look-aside: GET; on miss, read the DB and SET.
                         rpc_calls.fetch_add(1, Ordering::Relaxed);
-                        if client.call("get_la", key.to_vec()).is_err() {
+                        if client.call("get_la", key.to_vec(), None).is_err() {
                             rpc_calls.fetch_add(2, Ordering::Relaxed);
-                            if let Ok(resp) = client.call("db_get", key.to_vec()) {
+                            if let Ok(resp) = client.call("db_get", key.to_vec(), None) {
                                 let mut body = key.to_vec();
                                 body.extend_from_slice(&resp.body);
-                                let _ = client.call("set", body);
+                                let _ = client.call("set", body, None);
                             }
                         }
                     }
@@ -224,7 +224,7 @@ pub fn compare_pool_architectures(
                         let is_miss = rng.gen_bool(miss_fraction);
                         let method = if is_miss { "miss" } else { "hit" };
                         let t0 = Instant::now();
-                        if client.call(method, vec![1u8; 16]).is_ok() {
+                        if client.call(method, vec![1u8; 16], None).is_ok() {
                             let ns = t0.elapsed().as_nanos() as u64;
                             if is_miss {
                                 miss_hist.record(ns);

@@ -26,6 +26,7 @@ use dcperf_resilience::{
 };
 use dcperf_rpc::{
     InProcClient, InProcServer, Lane, PoolConfig, Request, ResilientClient, Response, RpcError,
+    Transport,
 };
 use dcperf_telemetry::{metrics, Telemetry, TelemetrySnapshot};
 use dcperf_util::{SplitMix64, Zipf};
@@ -182,11 +183,11 @@ impl Service for ChaosTaoService {
     fn call(&self, endpoint: usize, seq: u64) -> Result<usize, ServiceError> {
         let key = self.key_for(seq).to_le_bytes().to_vec();
         let result = if endpoint == 0 {
-            self.client.call("get", key)
+            self.client.call("get", key, None)
         } else {
             let mut body = key.clone();
             body.extend_from_slice(&self.store.synthesize_for_key(&key));
-            self.client.call("set", body)
+            self.client.call("set", body, None)
         };
         match result {
             Ok(resp) => Ok(resp.body.len()),

@@ -25,7 +25,7 @@
 
 use dcperf_core::{Benchmark, BenchmarkReport, Error, ReportBuilder, RunContext, WorkloadCategory};
 use dcperf_loadgen::{find_peak_load, EndpointMix, OpenLoop, Service, ServiceError};
-use dcperf_rpc::{InProcClient, InProcServer, PoolConfig, Request, Response, Value};
+use dcperf_rpc::{InProcClient, InProcServer, PoolConfig, Request, Response, Transport, Value};
 use dcperf_tax::{compress, crypto};
 use dcperf_util::{Rng, SplitMix64, Zipf};
 use std::sync::Arc;
@@ -111,6 +111,24 @@ fn build_story(story_id: u64, seed: u64) -> Vec<u8> {
     .encode()
 }
 
+/// The shard that owns a story id.
+fn shard_of(story_id: u64) -> u64 {
+    SplitMix64::mix(story_id) % LEAF_SHARDS as u64
+}
+
+/// The leaf handler for every shard: "fetch" returns the requested
+/// stories as length-prefixed payloads, each built with its shard's seed.
+fn fetch_stories(req: &Request, seed: u64) -> Response {
+    let mut out = Vec::with_capacity(req.body.len() * 64);
+    for id_bytes in req.body.chunks_exact(8) {
+        let id = u64::from_le_bytes(id_bytes.try_into().expect("8"));
+        let story = build_story(id, seed ^ (shard_of(id) << 48));
+        out.extend_from_slice(&(story.len() as u32).to_le_bytes());
+        out.extend_from_slice(&story);
+    }
+    Response::ok(out)
+}
+
 /// Decodes a story payload into a dense feature vector (the feature
 /// extraction phase: parsing plus hashing).
 fn extract_features(payload: &[u8]) -> Option<[f32; FEATURES]> {
@@ -152,7 +170,7 @@ fn model_weights(seed: u64) -> [f32; FEATURES] {
 }
 
 struct Aggregator {
-    leaves: Vec<InProcClient>,
+    leaf: InProcClient,
     stories_per_leaf: u64,
     zipf: Zipf,
     weights: [f32; FEATURES],
@@ -167,44 +185,29 @@ impl Aggregator {
         let mut rng = SplitMix64::new(self.seed ^ seq.wrapping_mul(0xD1B5_4A32_D192_ED03));
 
         // 1. Candidate selection: Zipf-popular stories, sharded by id.
-        let mut per_leaf: Vec<Vec<u8>> = vec![Vec::new(); self.leaves.len()];
+        let mut per_leaf: Vec<Vec<u8>> = vec![Vec::new(); LEAF_SHARDS];
         for _ in 0..self.candidates {
             let story = self.zipf.sample(&mut rng) % self.stories_per_leaf;
-            let leaf = (SplitMix64::mix(story) % self.leaves.len() as u64) as usize;
-            per_leaf[leaf].extend_from_slice(&story.to_le_bytes());
+            per_leaf[shard_of(story) as usize].extend_from_slice(&story.to_le_bytes());
         }
+        per_leaf.retain(|ids| !ids.is_empty());
 
-        // 2. Backend I/O: parallel fan-out to the leaf shards.
+        // 2. Backend I/O: one batch of shard fetches, all in flight at once.
         let mut payloads: Vec<Vec<u8>> = Vec::with_capacity(self.candidates);
-        std::thread::scope(|scope| -> Result<(), ServiceError> {
-            let mut joins = Vec::new();
-            for (leaf, ids) in per_leaf.iter().enumerate() {
-                if ids.is_empty() {
-                    continue;
+        for outcome in self.leaf.call_batch("fetch", per_leaf, None) {
+            let resp = outcome.map_err(|e| ServiceError::new(e.to_string()))?;
+            // Leaf responses are length-prefixed story payloads.
+            let mut rest = resp.body.as_slice();
+            while rest.len() >= 4 {
+                let len = u32::from_le_bytes(rest[..4].try_into().expect("4")) as usize;
+                rest = &rest[4..];
+                if len > rest.len() {
+                    return Err(ServiceError::new("truncated leaf response"));
                 }
-                let client = self.leaves[leaf].clone();
-                let body = ids.clone();
-                joins.push(scope.spawn(move || client.call("fetch", body)));
+                payloads.push(rest[..len].to_vec());
+                rest = &rest[len..];
             }
-            for join in joins {
-                let resp = join
-                    .join()
-                    .map_err(|_| ServiceError::new("leaf thread panicked"))?
-                    .map_err(|e| ServiceError::new(e.to_string()))?;
-                // Leaf responses are length-prefixed story payloads.
-                let mut rest = resp.body.as_slice();
-                while rest.len() >= 4 {
-                    let len = u32::from_le_bytes(rest[..4].try_into().expect("4")) as usize;
-                    rest = &rest[4..];
-                    if len > rest.len() {
-                        return Err(ServiceError::new("truncated leaf response"));
-                    }
-                    payloads.push(rest[..len].to_vec());
-                    rest = &rest[len..];
-                }
-            }
-            Ok(())
-        })?;
+        }
 
         // 3. Feature extraction + ranking.
         let mut scored: Vec<(f32, &Vec<u8>)> = Vec::with_capacity(payloads.len());
@@ -272,30 +275,15 @@ impl Benchmark for FeedSim {
         let seed = ctx.seed();
         let stories_per_leaf = self.config.base_stories_per_leaf * scale.min(16);
 
-        // Leaf shards: each owns its stories and serves "fetch".
-        let mut leaf_servers = Vec::with_capacity(LEAF_SHARDS);
-        let mut leaves = Vec::with_capacity(LEAF_SHARDS);
-        for shard in 0..LEAF_SHARDS {
-            let shard_seed = seed ^ (shard as u64) << 48;
-            let server = InProcServer::start(
-                move |req: &Request| {
-                    let mut out = Vec::with_capacity(req.body.len() * 64);
-                    for id_bytes in req.body.chunks_exact(8) {
-                        let id = u64::from_le_bytes(id_bytes.try_into().expect("8"));
-                        let story = build_story(id, shard_seed);
-                        out.extend_from_slice(&(story.len() as u32).to_le_bytes());
-                        out.extend_from_slice(&story);
-                    }
-                    Response::ok(out)
-                },
-                PoolConfig::single_lane((threads / LEAF_SHARDS).max(1)),
-            );
-            leaves.push(server.client());
-            leaf_servers.push(server);
-        }
+        // Leaf shards: one server answers "fetch" for every shard, with
+        // the worker count of a pool per shard.
+        let leaf_server = InProcServer::start(
+            move |req: &Request| fetch_stories(req, seed),
+            PoolConfig::single_lane((threads / LEAF_SHARDS).max(1) * LEAF_SHARDS),
+        );
 
         let aggregator = Arc::new(Aggregator {
-            leaves,
+            leaf: leaf_server.client(),
             stories_per_leaf,
             zipf: Zipf::new(stories_per_leaf, 0.9).map_err(|e| Error::Config(e.to_string()))?,
             weights: model_weights(seed),
@@ -338,9 +326,7 @@ impl Benchmark for FeedSim {
         let (peak, best) = match (search.peak_rps, search.best_report) {
             (Some(p), Some(b)) => (p, b),
             _ => {
-                for server in leaf_servers {
-                    server.shutdown();
-                }
+                leaf_server.shutdown();
                 return Err(Error::SloUnattainable {
                     name: self.name().to_owned(),
                     slo: format!("p95 <= {slo}ms at >= {} rps", self.config.start_rps),
@@ -352,9 +338,7 @@ impl Benchmark for FeedSim {
         report.metric("slo_met", "true");
         report.latency_ms("request", &best.latency_ns);
         report.metric("response_mb", best.response_bytes as f64 / 1e6);
-        for server in leaf_servers {
-            server.shutdown();
-        }
+        leaf_server.shutdown();
         Ok(report.finish(ctx))
     }
 }
@@ -384,6 +368,32 @@ mod tests {
         assert_ne!(build_story(43, 7), a);
         let features = extract_features(&a).expect("story decodes");
         assert!(features.iter().any(|&f| f != 0.0));
+    }
+
+    #[test]
+    fn one_leaf_server_serves_every_shard_with_its_seed() {
+        let seed = 0xFEED;
+        let mut ids_of: Vec<Vec<u64>> = vec![Vec::new(); LEAF_SHARDS];
+        for id in 0u64.. {
+            let shard = (SplitMix64::mix(id) % LEAF_SHARDS as u64) as usize;
+            if ids_of[shard].len() < 2 {
+                ids_of[shard].push(id);
+            }
+            if ids_of.iter().all(|ids| ids.len() == 2) {
+                break;
+            }
+        }
+        for (shard, ids) in ids_of.iter().enumerate() {
+            let body = ids.iter().flat_map(|id| id.to_le_bytes()).collect();
+            let resp = fetch_stories(&Request::new("fetch", body), seed);
+            let mut expected = Vec::new();
+            for &id in ids {
+                let story = build_story(id, seed ^ ((shard as u64) << 48));
+                expected.extend_from_slice(&(story.len() as u32).to_le_bytes());
+                expected.extend_from_slice(&story);
+            }
+            assert_eq!(resp.body, expected, "shard {shard}");
+        }
     }
 
     #[test]

@@ -19,7 +19,7 @@
 use dcperf_core::{Benchmark, BenchmarkReport, Error, ReportBuilder, RunContext, WorkloadCategory};
 use dcperf_kvstore::{BackingStore, BackingStoreConfig, Cache, CacheConfig};
 use dcperf_loadgen::{ClosedLoop, EndpointMix, Service, ServiceError};
-use dcperf_rpc::{InProcClient, InProcServer, Lane, PoolConfig, Request, Response};
+use dcperf_rpc::{InProcClient, InProcServer, Lane, PoolConfig, Request, Response, Transport};
 use dcperf_util::{SplitMix64, Zipf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -149,12 +149,12 @@ impl Service for TaoClient {
     fn call(&self, endpoint: usize, seq: u64) -> Result<usize, ServiceError> {
         let key = self.key_for(seq).to_le_bytes().to_vec();
         let result = if endpoint == 0 {
-            self.rpc.call("get", key)
+            self.rpc.call("get", key, None)
         } else {
             // SET: client supplies the new object, as memtier does.
             let mut body = key.clone();
             body.extend_from_slice(&self.store.synthesize_for_key(&key));
-            self.rpc.call("set", body)
+            self.rpc.call("set", body, None)
         };
         match result {
             Ok(resp) => Ok(resp.body.len()),
@@ -183,7 +183,7 @@ impl Service for TaoClient {
         }
         let mut results: Vec<Option<Result<usize, ServiceError>>> = vec![None; batch.len()];
         if !get_slots.is_empty() {
-            match self.rpc.call("mget", mget_body) {
+            match self.rpc.call("mget", mget_body, None) {
                 Ok(resp) => {
                     let mut rest = resp.body.as_slice();
                     for &idx in &get_slots {
@@ -203,7 +203,7 @@ impl Service for TaoClient {
             }
         }
         if !set_slots.is_empty() {
-            let outcome = self.rpc.call("mset", mset_body);
+            let outcome = self.rpc.call("mset", mset_body, None);
             for &idx in &set_slots {
                 results[idx] = Some(match &outcome {
                     Ok(resp) => Ok(resp.body.len()),

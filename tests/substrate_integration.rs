@@ -3,7 +3,7 @@
 //! front of the backing store, tax codecs on the response path.
 
 use dcperf::kvstore::{BackingStore, BackingStoreConfig, Cache, CacheConfig};
-use dcperf::rpc::{InProcServer, PoolConfig, Request, Response, Value};
+use dcperf::rpc::{InProcServer, PoolConfig, Request, Response, Transport, Value};
 use dcperf::tax::{compress, crypto};
 use std::sync::Arc;
 
@@ -43,7 +43,9 @@ fn rpc_cache_store_pipeline_round_trips() {
     let client = server.client();
     for i in 0..200u64 {
         let key = (i % 50).to_le_bytes().to_vec();
-        let resp = client.call("get", key.clone()).expect("call succeeds");
+        let resp = client
+            .call("get", key.clone(), None)
+            .expect("call succeeds");
         // Verify MAC, decompress, decode, compare against the store.
         let (packed, mac) = resp.body.split_at(resp.body.len() - 32);
         assert_eq!(
@@ -80,7 +82,7 @@ fn loadgen_measures_rpc_service_latency() {
     impl Service for SlowRpc {
         fn call(&self, _e: usize, _seq: u64) -> Result<usize, ServiceError> {
             self.client
-                .call("work", vec![0u8; 16])
+                .call("work", vec![0u8; 16], None)
                 .map(|r| r.body.len())
                 .map_err(|e| ServiceError::new(e.to_string()))
         }

@@ -4,7 +4,7 @@
 //! client/server stats, and the server's own telemetry registry.
 
 use dcperf_loadgen::{ClosedLoop, EndpointMix, Service, ServiceError};
-use dcperf_rpc::{InProcClient, InProcServer, PoolConfig, Request, Response};
+use dcperf_rpc::{InProcClient, InProcServer, PoolConfig, Request, Response, Transport};
 use std::time::Duration;
 
 /// Adapts an RPC client to the loadgen `Service` trait: one request per
@@ -15,7 +15,7 @@ struct EchoService {
 
 impl Service for EchoService {
     fn call(&self, _endpoint: usize, seq: u64) -> Result<usize, ServiceError> {
-        match self.client.call("echo", seq.to_le_bytes().to_vec()) {
+        match self.client.call("echo", seq.to_le_bytes().to_vec(), None) {
             Ok(resp) => Ok(resp.body.len()),
             Err(e) => Err(ServiceError::new(e.to_string())),
         }
