@@ -409,15 +409,13 @@ fn run_read_point(args: &Args, threads: usize, skew: &'static str) -> ReadPoint 
 
 /// Races `fill_threads` callers at a fresh cold key each round against a
 /// sleeping loader and counts loader invocations. With single-flight on,
-/// one leader loads per round; off, every racing miss loads.
+/// each caller runs `get_or_load` and one leader loads per round; off,
+/// each caller rebuilds the classic look-aside herd (`get` miss, load,
+/// `set`), so every racing miss loads.
 fn run_fill_side(args: &Args, fill_threads: usize, single_flight: bool) -> FillSide {
-    let config = CacheConfig::with_capacity_bytes(1 << 20).with_shards(1);
-    let config = if single_flight {
-        config
-    } else {
-        config.without_single_flight()
-    };
-    let cache = Arc::new(Cache::new(config));
+    let cache = Arc::new(Cache::new(
+        CacheConfig::with_capacity_bytes(1 << 20).with_shards(1),
+    ));
     let loader_runs = Arc::new(AtomicU64::new(0));
     let barrier = Arc::new(Barrier::new(fill_threads));
     let rounds = args.rounds;
@@ -432,7 +430,7 @@ fn run_fill_side(args: &Args, fill_threads: usize, single_flight: bool) -> FillS
                 for round in 0..rounds {
                     let key = [key_bytes(round), key_bytes(tag)].concat();
                     barrier.wait();
-                    let got = cache.get_or_load(&key, |_| {
+                    let load = |_: &[u8]| {
                         // ordering: relaxed run counter, read only after all threads join
                         loader_runs.fetch_add(1, Ordering::Relaxed);
                         // Slow enough that every racer arrives while the
@@ -440,7 +438,16 @@ fn run_fill_side(args: &Args, fill_threads: usize, single_flight: bool) -> FillS
                         // store would hold it.
                         std::thread::sleep(Duration::from_millis(2));
                         Some(round.to_le_bytes().to_vec())
-                    });
+                    };
+                    let got = if single_flight {
+                        cache.get_or_load(&key, load)
+                    } else {
+                        cache.get(&key).or_else(|| {
+                            let value = load(&key)?;
+                            cache.set(&key, value.clone());
+                            Some(value.into())
+                        })
+                    };
                     assert_eq!(got.as_deref(), Some(&round.to_le_bytes()[..]));
                     barrier.wait();
                 }

@@ -64,11 +64,6 @@ pub struct CacheConfig {
     /// Default TTL applied by [`Cache::set`] when none is given, in
     /// milliseconds; `None` disables expiry.
     pub default_ttl_ms: Option<u64>,
-    /// Whether concurrent misses on one key are collapsed onto a single
-    /// loader run (on by default). Disabling reproduces the classic
-    /// Memcached-style thundering herd, which `cargo bench-kvstore`
-    /// measures as fill amplification.
-    pub single_flight: bool,
     /// Recency sampling rate: a hit enqueues an LRU touch only every Nth
     /// time (per shard). `1` makes batched recency exact; the default of
     /// `8` trades a bounded approximation in eviction order for most of
@@ -93,7 +88,6 @@ impl CacheConfig {
             capacity_bytes,
             shards: (parallelism * 4).next_power_of_two(),
             default_ttl_ms: None,
-            single_flight: true,
             recency_sample_every: DEFAULT_RECENCY_SAMPLE,
         }
     }
@@ -107,12 +101,6 @@ impl CacheConfig {
     /// Sets the default TTL (builder style).
     pub fn with_default_ttl_ms(mut self, ttl_ms: u64) -> Self {
         self.default_ttl_ms = Some(ttl_ms);
-        self
-    }
-
-    /// Disables single-flight fill deduplication (builder style).
-    pub fn without_single_flight(mut self) -> Self {
-        self.single_flight = false;
         self
     }
 
@@ -208,7 +196,6 @@ pub struct Cache {
     mask: u64,
     stats: CacheStats,
     default_ttl_ms: Option<u64>,
-    single_flight: bool,
     /// Touch every Nth hit (`1` = exact recency); see
     /// [`CacheConfig::recency_sample_every`].
     recency_sample: u32,
@@ -264,7 +251,6 @@ impl Cache {
             mask: (shard_count - 1) as u64,
             stats,
             default_ttl_ms: config.default_ttl_ms,
-            single_flight: config.single_flight,
             recency_sample: config.recency_sample_every.max(1),
             epoch: Instant::now(),
             clock_skew_ms: AtomicU64::new(0),
@@ -434,9 +420,6 @@ impl Cache {
     where
         F: FnOnce(&[u8]) -> Option<Vec<u8>>,
     {
-        if !self.single_flight {
-            return self.load_and_fill(shard, key, loader);
-        }
         match self.join_or_lead(shard, key) {
             FillRole::Waiter(flight) => {
                 self.stats.record_singleflight_wait();
@@ -492,31 +475,6 @@ impl Cache {
                         None
                     }
                 }
-            }
-        }
-    }
-
-    /// The non-deduplicated miss path (single-flight disabled).
-    fn load_and_fill<F>(&self, shard: usize, key: &[u8], loader: F) -> Option<Arc<[u8]>>
-    where
-        F: FnOnce(&[u8]) -> Option<Vec<u8>>,
-    {
-        match loader(key) {
-            Some(value) => {
-                let value: Arc<[u8]> = value.into();
-                let insert_now = self.now_ms();
-                self.insert_at(
-                    shard,
-                    key,
-                    Arc::clone(&value),
-                    self.default_ttl_ms,
-                    insert_now,
-                );
-                Some(value)
-            }
-            None => {
-                self.stats.record_load_failure();
-                None
             }
         }
     }

@@ -189,37 +189,3 @@ fn panicking_loader_releases_waiters_and_unpoisons_key() {
     let got = c.get_or_load(b"boom", |_| Some(b"recovered".to_vec()));
     assert_eq!(got.as_deref(), Some(&b"recovered"[..]));
 }
-
-#[test]
-fn disabling_single_flight_restores_thundering_herd() {
-    let c = Arc::new(Cache::new(
-        CacheConfig::with_capacity_bytes(1 << 20)
-            .with_shards(4)
-            .without_single_flight(),
-    ));
-    let loads = Arc::new(AtomicU64::new(0));
-    let barrier = Arc::new(Barrier::new(THREADS));
-    let handles: Vec<_> = (0..THREADS)
-        .map(|_| {
-            let c = Arc::clone(&c);
-            let loads = Arc::clone(&loads);
-            let barrier = Arc::clone(&barrier);
-            std::thread::spawn(move || {
-                barrier.wait();
-                c.get_or_load(b"herd", |_| {
-                    loads.fetch_add(1, Ordering::SeqCst);
-                    std::thread::sleep(Duration::from_millis(30));
-                    Some(vec![1])
-                })
-            })
-        })
-        .collect();
-    for h in handles {
-        assert_eq!(h.join().expect("thread").as_deref(), Some(&[1u8][..]));
-    }
-    assert!(
-        loads.load(Ordering::SeqCst) > 1,
-        "without single-flight, concurrent misses each load"
-    );
-    assert_eq!(c.stats().singleflight_fills(), 0);
-}

@@ -4,7 +4,8 @@
 //! *while meeting its SLO* (§3.2). Production services must hold that SLO
 //! through partial failure: slow database lookups, flaky dependencies,
 //! and overload bursts. The scenarios here run the TaoBench and
-//! DjangoBench stacks under deterministic
+//! DjangoBench stacks (TaoBench's own server and client, behind a
+//! [`ResilientClient`]) under deterministic
 //! [`FaultPlan`](dcperf_resilience::FaultPlan) injection, with the
 //! resilience layer (deadlines, retries with budgets, circuit breaking)
 //! active, and report SLO attainment plus shed/retried/deadline-exceeded
@@ -18,18 +19,16 @@
 //! this repository's cargo aliases).
 
 use crate::django::DjangoApp;
+use crate::taobench::{serve, TaoClient};
 use dcperf_core::SloSpec;
 use dcperf_kvstore::{BackingStore, BackingStoreConfig, Cache, CacheConfig};
 use dcperf_loadgen::{ClosedLoop, EndpointMix, LoadReport, OpenLoop, Service, ServiceError};
 use dcperf_resilience::{
     BreakerConfig, CircuitBreaker, FaultOutcome, FaultPlan, LatencyFault, RetryPolicy,
 };
-use dcperf_rpc::{
-    InProcClient, InProcServer, Lane, PoolConfig, Request, ResilientClient, Response, RpcError,
-    Transport,
-};
+use dcperf_rpc::{PoolConfig, ResilientClient};
 use dcperf_telemetry::{metrics, Telemetry, TelemetrySnapshot};
-use dcperf_util::{SplitMix64, Zipf};
+use dcperf_util::Zipf;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -161,45 +160,6 @@ impl ChaosOutcome {
     }
 }
 
-/// The client side of the chaos TaoBench stack: a [`ResilientClient`]
-/// over the in-process RPC server, with TaoBench's Zipf key generation.
-struct ChaosTaoService {
-    client: ResilientClient<InProcClient>,
-    zipf: Zipf,
-    key_space: u64,
-    seed: u64,
-    store: Arc<BackingStore>,
-}
-
-impl ChaosTaoService {
-    fn key_for(&self, seq: u64) -> u64 {
-        let mut rng = SplitMix64::new(self.seed ^ seq.wrapping_mul(0x2545_F491_4F6C_DD1D));
-        let rank = self.zipf.sample(&mut rng);
-        SplitMix64::mix(rank) % self.key_space.max(1)
-    }
-}
-
-impl Service for ChaosTaoService {
-    fn call(&self, endpoint: usize, seq: u64) -> Result<usize, ServiceError> {
-        let key = self.key_for(seq).to_le_bytes().to_vec();
-        let result = if endpoint == 0 {
-            self.client.call("get", key, None)
-        } else {
-            let mut body = key.clone();
-            body.extend_from_slice(&self.store.synthesize_for_key(&key));
-            self.client.call("set", body, None)
-        };
-        match result {
-            Ok(resp) => Ok(resp.body.len()),
-            Err(RpcError::DeadlineExceeded | RpcError::Timeout) => {
-                Err(ServiceError::deadline_exceeded("request budget spent"))
-            }
-            Err(RpcError::CircuitOpen) => Err(ServiceError::rejected("circuit open")),
-            Err(e) => Err(ServiceError::new(e.to_string())),
-        }
-    }
-}
-
 /// Folds a fault plan's injection counters into `snapshot` under the
 /// given `chaos.*` namespace prefix (a `telemetry::metrics` constant).
 fn merge_plan_counters(snapshot: &mut TelemetrySnapshot, prefix: &str, plan: &FaultPlan) {
@@ -263,34 +223,9 @@ pub fn run_tao_chaos(config: &TaoChaosConfig, slo: &SloSpec) -> ChaosOutcome {
     ));
 
     // Server: the TaoBench fast/slow architecture.
-    let handler_cache = Arc::clone(&cache);
-    let handler_store = Arc::clone(&store);
-    let classify_cache = Arc::clone(&cache);
-    let server = InProcServer::start_with_classifier(
-        move |req: &Request| match req.method.as_str() {
-            "get" => match handler_cache.get_or_load(&req.body, |key| handler_store.lookup(key)) {
-                Some(value) => Response::ok(value.to_vec()),
-                None => Response::error("object not found"),
-            },
-            "set" => {
-                if req.body.len() < 8 {
-                    return Response::error("malformed set");
-                }
-                let (key, value) = req.body.split_at(8);
-                handler_cache.set(key, value.to_vec());
-                Response::ok(Vec::new())
-            }
-            other => Response::error(&format!("unknown method {other}")),
-        },
-        move |req: &Request| {
-            // A stat-less `contains` peek: classification must not skew
-            // the hit/miss counters the snapshot reports.
-            if req.method == "get" && classify_cache.contains(&req.body) {
-                Lane::Fast
-            } else {
-                Lane::Slow
-            }
-        },
+    let server = serve(
+        cache,
+        Arc::clone(&store),
         PoolConfig::fast_slow(2, 2).with_queue_depth(4096),
     );
 
@@ -308,8 +243,7 @@ pub fn run_tao_chaos(config: &TaoChaosConfig, slo: &SloSpec) -> ChaosOutcome {
 
     // Resilient client, recording into the server's registry so one
     // snapshot covers the whole stack.
-    let inproc = server.client();
-    let registry: Telemetry = inproc.telemetry().clone();
+    let registry: Telemetry = server.telemetry().clone();
     let mut resilient = ResilientClient::new(server.client(), config.retry_policy, &registry)
         .with_seed(config.seed ^ 0x5EED);
     if let Some(budget) = config.request_deadline {
@@ -322,13 +256,8 @@ pub fn run_tao_chaos(config: &TaoChaosConfig, slo: &SloSpec) -> ChaosOutcome {
             metrics::PREFIX_RPC_BREAKER,
         )));
     }
-    let service = ChaosTaoService {
-        client: resilient,
-        zipf: Zipf::new(config.key_space, 0.99).expect("key space is positive"),
-        key_space: config.key_space,
-        seed: config.seed,
-        store: Arc::clone(&store),
-    };
+    let zipf = Zipf::new(config.key_space, 0.99).expect("key space is positive");
+    let service = TaoClient::new(resilient, zipf, config.seed, store);
 
     let mix = EndpointMix::new(&["get", "set"], &[0.95, 0.05]).expect("static mix is valid");
     let load = match config.offered_rps {

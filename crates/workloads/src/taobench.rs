@@ -14,12 +14,14 @@
 //! routes hits to the fast pool and misses to the slow pool, a
 //! [`BackingStore`] paying simulated DB latency on the miss path, and a
 //! memtier-style closed-loop client drawing Zipf-distributed keys with
-//! production-shaped value sizes.
+//! production-shaped value sizes. The chaos scenarios run this same
+//! server and client behind a resilient transport.
 
 use dcperf_core::{Benchmark, BenchmarkReport, Error, ReportBuilder, RunContext, WorkloadCategory};
 use dcperf_kvstore::{BackingStore, BackingStoreConfig, Cache, CacheConfig};
 use dcperf_loadgen::{ClosedLoop, EndpointMix, Service, ServiceError};
-use dcperf_rpc::{InProcClient, InProcServer, Lane, PoolConfig, Request, Response, Transport};
+use dcperf_rpc::wire::WireError;
+use dcperf_rpc::{InProcServer, Lane, PoolConfig, Request, Response, RpcError, Transport};
 use dcperf_util::{SplitMix64, Zipf};
 use std::sync::Arc;
 use std::time::Duration;
@@ -41,9 +43,10 @@ pub struct TaoBenchConfig {
     pub db_latency: Duration,
     /// Base measurement duration (scaled by the run scale).
     pub base_duration: Duration,
-    /// Requests each load-generator worker keeps in flight per turn; 1 is
-    /// the classic one-request-per-turn memtier mode, larger values
-    /// exercise the pipelined RPC path.
+    /// Requests each load-generator worker keeps in flight per turn. A
+    /// turn's GETs travel as one `mget` and its SETs as one `mset`, so 1
+    /// sends a one-key `mget` or `mset` per turn; larger values exercise
+    /// the pipelined RPC path.
     pub pipeline_depth: usize,
 }
 
@@ -82,18 +85,27 @@ fn encode_mget_slot(out: &mut Vec<u8>, value: Option<&[u8]>) {
     }
 }
 
-/// Consumes one `mget` response slot from `rest`. `Ok(None)` is a missing
-/// object; `Err(())` is a truncated or malformed frame.
-fn parse_mget_slot<'a>(rest: &mut &'a [u8]) -> Result<Option<&'a [u8]>, ()> {
-    let (len_bytes, tail) = rest.split_at_checked(4).ok_or(())?;
-    let len = u32::from_le_bytes([len_bytes[0], len_bytes[1], len_bytes[2], len_bytes[3]]);
-    if len == MGET_MISSING {
-        *rest = tail;
-        return Ok(None);
-    }
-    let (value, tail) = tail.split_at_checked(len as usize).ok_or(())?;
+/// Splits `n` bytes off the front of `rest`.
+fn take<'a>(rest: &mut &'a [u8], n: usize) -> Result<&'a [u8], WireError> {
+    let (head, tail) = rest.split_at_checked(n).ok_or(WireError::UnexpectedEof)?;
     *rest = tail;
-    Ok(Some(value))
+    Ok(head)
+}
+
+/// Splits a little-endian `u32` length prefix off the front of `rest`.
+fn take_len(rest: &mut &[u8]) -> Result<u32, WireError> {
+    let (len, tail) = rest.split_first_chunk().ok_or(WireError::UnexpectedEof)?;
+    *rest = tail;
+    Ok(u32::from_le_bytes(*len))
+}
+
+/// Consumes one `mget` response slot from `rest`; `Ok(None)` is a
+/// missing object.
+fn parse_mget_slot<'a>(rest: &mut &'a [u8]) -> Result<Option<&'a [u8]>, WireError> {
+    match take_len(rest)? {
+        MGET_MISSING => Ok(None),
+        len => take(rest, len as usize).map(Some),
+    }
 }
 
 /// Appends one `mset` request item: 8-byte key, `u32` little-endian
@@ -104,20 +116,18 @@ fn encode_mset_item(out: &mut Vec<u8>, key: &[u8], value: &[u8]) {
     out.extend_from_slice(value);
 }
 
-/// Decodes a whole `mset` request body into key/value pairs, or `None` if
-/// the frame is malformed.
-fn parse_mset_items(body: &[u8]) -> Option<Vec<(Vec<u8>, Vec<u8>)>> {
+/// One decoded `mset` item: key and value.
+type MsetItem = (Vec<u8>, Vec<u8>);
+
+/// Decodes a whole `mset` request body into key/value pairs.
+fn parse_mset_items(mut body: &[u8]) -> Result<Vec<MsetItem>, WireError> {
     let mut items = Vec::new();
-    let mut rest = body;
-    while !rest.is_empty() {
-        let (key, tail) = rest.split_at_checked(8)?;
-        let (len_bytes, tail) = tail.split_at_checked(4)?;
-        let len = u32::from_le_bytes([len_bytes[0], len_bytes[1], len_bytes[2], len_bytes[3]]);
-        let (value, tail) = tail.split_at_checked(len as usize)?;
-        items.push((key.to_vec(), value.to_vec()));
-        rest = tail;
+    while !body.is_empty() {
+        let key = take(&mut body, 8)?.to_vec();
+        let len = take_len(&mut body)?;
+        items.push((key, take(&mut body, len as usize)?.to_vec()));
     }
-    Some(items)
+    Ok(items)
 }
 
 impl TaoBench {
@@ -127,46 +137,115 @@ impl TaoBench {
     }
 }
 
-/// The client side: memtier-style key/op generation over the RPC client.
-struct TaoClient {
-    rpc: InProcClient,
+/// The server's handler. `mget` bodies are concatenated 8-byte keys and
+/// resolve in one shard-grouped cache pass, with misses loaded from
+/// `store` through the single-flight fill path; `mset` bodies are
+/// [`encode_mset_item`] items, written in one pass per touched shard.
+fn handle(cache: &Cache, store: &BackingStore, req: &Request) -> Response {
+    match req.method.as_str() {
+        "mget" => {
+            if !req.body.len().is_multiple_of(8) {
+                return Response::error("malformed mget");
+            }
+            let keys: Vec<&[u8]> = req.body.chunks_exact(8).collect();
+            let values = cache.get_or_load_many(&keys, |key| store.lookup(key));
+            let mut out = Vec::new();
+            for value in &values {
+                encode_mget_slot(&mut out, value.as_deref());
+            }
+            Response::ok(out)
+        }
+        "mset" => match parse_mset_items(&req.body) {
+            Ok(items) => {
+                cache.set_many(items);
+                Response::ok(Vec::new())
+            }
+            Err(_) => Response::error("malformed mset"),
+        },
+        other => Response::error(&format!("unknown method {other}")),
+    }
+}
+
+/// TAO's dispatch: an `mget` whose keys are all resident goes to the fast
+/// pool; misses and writes go to the slow pool. The peek is the stat-less
+/// [`Cache::contains`], so classification neither skews the hit/miss
+/// counters nor perturbs LRU order.
+fn classify(cache: &Cache, req: &Request) -> Lane {
+    let all_resident = req.method == "mget"
+        && req.body.len().is_multiple_of(8)
+        && req.body.chunks_exact(8).all(|key| cache.contains(key));
+    if all_resident {
+        Lane::Fast
+    } else {
+        Lane::Slow
+    }
+}
+
+/// Starts the TaoBench server over `cache`, filling misses from `store`.
+pub(crate) fn serve(cache: Arc<Cache>, store: Arc<BackingStore>, pool: PoolConfig) -> InProcServer {
+    let classify_cache = Arc::clone(&cache);
+    InProcServer::start_with_classifier(
+        move |req: &Request| handle(&cache, &store, req),
+        move |req: &Request| classify(&classify_cache, req),
+        pool,
+    )
+}
+
+/// Maps an RPC failure onto the load generator's outcome classes: an
+/// expired budget is `deadline_exceeded`, a breaker refusal is
+/// `rejected`, and anything else is a plain error.
+fn service_error(e: &RpcError) -> ServiceError {
+    match e {
+        RpcError::DeadlineExceeded | RpcError::Timeout => {
+            ServiceError::deadline_exceeded("request budget spent")
+        }
+        RpcError::CircuitOpen => ServiceError::rejected("circuit open"),
+        e => ServiceError::new(e.to_string()),
+    }
+}
+
+/// The client side: memtier-style key/op generation over any RPC
+/// transport. Endpoint 0 is GET, anything else SET.
+pub(crate) struct TaoClient<C> {
+    rpc: C,
     zipf: Zipf,
-    key_space: u64,
     seed: u64,
     store: Arc<BackingStore>,
 }
 
-impl TaoClient {
+impl<C: Transport> TaoClient<C> {
+    /// A client over `rpc` drawing keys from `zipf`; SET values are
+    /// synthesized by `store`.
+    pub(crate) fn new(rpc: C, zipf: Zipf, seed: u64, store: Arc<BackingStore>) -> Self {
+        Self {
+            rpc,
+            zipf,
+            seed,
+            store,
+        }
+    }
+
     fn key_for(&self, seq: u64) -> u64 {
         let mut rng = SplitMix64::new(self.seed ^ seq.wrapping_mul(0x2545_F491_4F6C_DD1D));
         // Hash the Zipf rank so hot keys are spread across cache shards.
         let rank = self.zipf.sample(&mut rng);
-        SplitMix64::mix(rank) % self.key_space.max(1)
+        SplitMix64::mix(rank) % self.zipf.n()
     }
 }
 
-impl Service for TaoClient {
+impl<C: Transport + Send + Sync> Service for TaoClient<C> {
     fn call(&self, endpoint: usize, seq: u64) -> Result<usize, ServiceError> {
-        let key = self.key_for(seq).to_le_bytes().to_vec();
-        let result = if endpoint == 0 {
-            self.rpc.call("get", key, None)
-        } else {
-            // SET: client supplies the new object, as memtier does.
-            let mut body = key.clone();
-            body.extend_from_slice(&self.store.synthesize_for_key(&key));
-            self.rpc.call("set", body, None)
-        };
-        match result {
-            Ok(resp) => Ok(resp.body.len()),
-            Err(e) => Err(ServiceError::new(e.to_string())),
-        }
+        self.call_many(&[(endpoint, seq)])
+            .pop()
+            .unwrap_or_else(|| Err(ServiceError::new("request dropped from batch")))
     }
 
     fn call_many(&self, batch: &[(usize, u64)]) -> Vec<Result<usize, ServiceError>> {
         // Fold the burst into at most two multi-key requests — one mget
-        // carrying every GET key and one mset carrying every SET — so the
-        // whole pipelined burst maps onto one shard-grouped cache pass
-        // server-side, then scatter results back in issue order.
+        // carrying every GET key and one mset carrying every SET (the
+        // client supplies the new object, as memtier does) — so the whole
+        // burst maps onto one shard-grouped cache pass server-side, then
+        // scatter results back in issue order.
         let mut get_slots: Vec<usize> = Vec::new();
         let mut mget_body: Vec<u8> = Vec::new();
         let mut set_slots: Vec<usize> = Vec::new();
@@ -190,12 +269,12 @@ impl Service for TaoClient {
                         results[idx] = Some(match parse_mget_slot(&mut rest) {
                             Ok(Some(value)) => Ok(value.len()),
                             Ok(None) => Err(ServiceError::new("object not found")),
-                            Err(()) => Err(ServiceError::new("truncated mget response")),
+                            Err(_) => Err(ServiceError::new("truncated mget response")),
                         });
                     }
                 }
                 Err(e) => {
-                    let err = ServiceError::new(e.to_string());
+                    let err = service_error(&e);
                     for &idx in &get_slots {
                         results[idx] = Some(Err(err.clone()));
                     }
@@ -207,7 +286,7 @@ impl Service for TaoClient {
             for &idx in &set_slots {
                 results[idx] = Some(match &outcome {
                     Ok(resp) => Ok(resp.body.len()),
-                    Err(e) => Err(ServiceError::new(e.to_string())),
+                    Err(e) => Err(service_error(e)),
                 });
             }
         }
@@ -258,81 +337,14 @@ impl Benchmark for TaoBench {
         // Server: fast pool for hits, slow pool for misses/SETs.
         let fast_threads = (threads / 2).max(2);
         let slow_threads = (threads / 2).max(2);
-        let handler_cache = Arc::clone(&cache);
-        let handler_store = Arc::clone(&store);
-        let classify_cache = Arc::clone(&cache);
-        let server = InProcServer::start_with_classifier(
-            move |req: &Request| match req.method.as_str() {
-                "get" => {
-                    match handler_cache.get_or_load(&req.body, |key| handler_store.lookup(key)) {
-                        Some(value) => Response::ok(value.to_vec()),
-                        None => Response::error("object not found"),
-                    }
-                }
-                "set" => {
-                    if req.body.len() < 8 {
-                        return Response::error("malformed set");
-                    }
-                    let (key, value) = req.body.split_at(8);
-                    handler_cache.set(key, value.to_vec());
-                    Response::ok(Vec::new())
-                }
-                "mget" => {
-                    // Body: concatenated 8-byte keys. The whole burst
-                    // resolves in one shard-grouped cache pass, with
-                    // misses loaded through the single-flight fill path.
-                    if !req.body.len().is_multiple_of(8) {
-                        return Response::error("malformed mget");
-                    }
-                    let keys: Vec<&[u8]> = req.body.chunks_exact(8).collect();
-                    let values =
-                        handler_cache.get_or_load_many(&keys, |key| handler_store.lookup(key));
-                    let mut out = Vec::new();
-                    for value in &values {
-                        encode_mget_slot(&mut out, value.as_deref());
-                    }
-                    Response::ok(out)
-                }
-                "mset" => match parse_mset_items(&req.body) {
-                    // One write-locked pass per touched shard.
-                    Some(items) => {
-                        handler_cache.set_many(items);
-                        Response::ok(Vec::new())
-                    }
-                    None => Response::error("malformed mset"),
-                },
-                other => Response::error(&format!("unknown method {other}")),
-            },
-            move |req: &Request| {
-                // TAO's dispatch: peek the cache; hits go to fast
-                // threads, misses and writes to slow threads. The peek is
-                // a stat-less `contains` so classification neither skews
-                // hit/miss counters nor perturbs LRU order.
-                match req.method.as_str() {
-                    "get" if classify_cache.contains(&req.body) => Lane::Fast,
-                    "mget"
-                        if req.body.len().is_multiple_of(8)
-                            && req
-                                .body
-                                .chunks_exact(8)
-                                .all(|key| classify_cache.contains(key)) =>
-                    {
-                        Lane::Fast
-                    }
-                    _ => Lane::Slow,
-                }
-            },
+        let server = serve(
+            Arc::clone(&cache),
+            Arc::clone(&store),
             PoolConfig::fast_slow(fast_threads, slow_threads).with_queue_depth(8192),
         );
-
-        let client = TaoClient {
-            rpc: server.client(),
-            zipf: Zipf::new(key_space, self.config.zipf_exponent)
-                .map_err(|e| Error::Config(e.to_string()))?,
-            key_space,
-            seed,
-            store: Arc::clone(&store),
-        };
+        let zipf = Zipf::new(key_space, self.config.zipf_exponent)
+            .map_err(|e| Error::Config(e.to_string()))?;
+        let client = TaoClient::new(server.client(), zipf, seed, store);
 
         // Warm the cache briefly so the measured phase sees steady state.
         let mix = EndpointMix::new(
@@ -367,8 +379,9 @@ impl Benchmark for TaoBench {
             .telemetry(ctx.telemetry())
             .run(&client, seed);
 
-        // Hit rate over the measured phase only (classifier peeks are
-        // counted too, symmetrically, so the ratio is preserved).
+        // Hit rate over the measured phase only. The classifier's peeks
+        // use the stat-less `Cache::contains`, so only handler lookups
+        // are counted.
         let hits = cache.stats().hits() - warm_hits;
         let misses = cache.stats().misses() - warm_misses;
         let hit_rate = if hits + misses == 0 {
@@ -394,6 +407,9 @@ impl Benchmark for TaoBench {
 mod tests {
     use super::*;
     use dcperf_core::RunConfig;
+    use dcperf_rpc::{InProcClient, Status};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
 
     fn smoke_config() -> TaoBenchConfig {
         TaoBenchConfig {
@@ -454,58 +470,161 @@ mod tests {
         assert!(hit_rate > 0.35, "hit rate {hit_rate}");
     }
 
-    #[test]
-    fn mget_slot_roundtrip() {
-        let mut out = Vec::new();
-        encode_mget_slot(&mut out, Some(b"hello"));
-        encode_mget_slot(&mut out, None);
-        encode_mget_slot(&mut out, Some(b""));
-        let mut rest = out.as_slice();
-        assert_eq!(parse_mget_slot(&mut rest), Ok(Some(&b"hello"[..])));
-        assert_eq!(parse_mget_slot(&mut rest), Ok(None));
-        assert_eq!(parse_mget_slot(&mut rest), Ok(Some(&b""[..])));
-        assert!(rest.is_empty());
-        // Truncated frames are a typed error, not a panic.
-        let mut truncated = &out[..2];
-        assert_eq!(parse_mget_slot(&mut truncated), Err(()));
+    /// A latency-free store in which about 2% of keys are deleted objects.
+    fn test_store() -> Arc<BackingStore> {
+        Arc::new(BackingStore::new(
+            BackingStoreConfig::tao_like()
+                .without_latency()
+                .with_population(1 << 40),
+            9,
+        ))
     }
 
-    #[test]
-    fn mset_items_roundtrip() {
-        let mut body = Vec::new();
-        encode_mset_item(&mut body, &7u64.to_le_bytes(), b"value-7");
-        encode_mset_item(&mut body, &8u64.to_le_bytes(), b"");
-        let items = parse_mset_items(&body).expect("well-formed mset");
-        assert_eq!(items.len(), 2);
-        assert_eq!(items[0].0, 7u64.to_le_bytes());
-        assert_eq!(items[0].1, b"value-7");
-        assert_eq!(items[1].1, b"");
-        assert!(parse_mset_items(&body[..5]).is_none(), "truncated mset");
+    fn test_cache() -> Arc<Cache> {
+        Arc::new(Cache::new(
+            CacheConfig::with_capacity_bytes(1 << 20).with_shards(4),
+        ))
+    }
+
+    /// A fresh TaoBench stack over a 1000-key space.
+    fn stack() -> (InProcServer, TaoClient<InProcClient>) {
+        let store = test_store();
+        let server = serve(
+            test_cache(),
+            Arc::clone(&store),
+            PoolConfig::fast_slow(1, 1),
+        );
+        let zipf = Zipf::new(1000, 0.99).expect("valid zipf");
+        let client = TaoClient::new(server.client(), zipf, 77, store);
+        (server, client)
     }
 
     #[test]
     fn deterministic_key_generation() {
         // Same seed → same key sequence (content determinism).
-        let store = Arc::new(BackingStore::new(
-            BackingStoreConfig::tao_like().without_latency(),
-            9,
-        ));
-        let server = InProcServer::start(
-            |_req: &Request| Response::ok(vec![]),
-            PoolConfig::single_lane(1),
-        );
-        let make = || TaoClient {
-            rpc: server.client(),
-            zipf: Zipf::new(1000, 0.99).unwrap(),
-            key_space: 1000,
-            seed: 77,
-            store: Arc::clone(&store),
-        };
-        let a = make();
-        let b = make();
+        let (server_a, a) = stack();
+        let (server_b, b) = stack();
         for seq in 0..100 {
             assert_eq!(a.key_for(seq), b.key_for(seq));
         }
-        server.shutdown();
+        server_a.shutdown();
+        server_b.shutdown();
+    }
+
+    #[test]
+    fn call_matches_call_many_per_request() {
+        // The last two requests of every 8 are SETs. A burst sends its
+        // GETs before its SETs, so bursts of 8 issue in the same order as
+        // one call per request, and each request must see the same
+        // outcome: value length, empty SET reply, or a deleted object.
+        let requests: Vec<(usize, u64)> = (0..512)
+            .map(|seq| (usize::from(seq % 8 >= 6), seq))
+            .collect();
+        let (one_server, one) = stack();
+        let (burst_server, burst) = stack();
+        let singles: Vec<_> = requests
+            .iter()
+            .map(|&(endpoint, seq)| one.call(endpoint, seq))
+            .collect();
+        let bursts: Vec<_> = requests
+            .chunks(8)
+            .flat_map(|chunk| burst.call_many(chunk))
+            .collect();
+        assert_eq!(singles, bursts);
+        assert!(singles.iter().any(|r| matches!(r, Ok(len) if *len > 0)));
+        assert!(singles.iter().any(Result::is_err), "no deleted object hit");
+        one_server.shutdown();
+        burst_server.shutdown();
+    }
+
+    #[test]
+    fn rpc_errors_map_onto_outcome_classes() {
+        use dcperf_loadgen::ServiceErrorKind::{DeadlineExceeded, Other, Rejected};
+        for (err, kind) in [
+            (RpcError::DeadlineExceeded, DeadlineExceeded),
+            (RpcError::Timeout, DeadlineExceeded),
+            (RpcError::CircuitOpen, Rejected),
+            (RpcError::Overloaded, Other),
+            (RpcError::Disconnected, Other),
+            (RpcError::Application("boom".into()), Other),
+            (RpcError::Wire(WireError::UnexpectedEof), Other),
+            (RpcError::Io(std::io::Error::other("reset")), Other),
+            (RpcError::CorrelationMismatch { got: 3 }, Other),
+        ] {
+            assert_eq!(service_error(&err).kind, kind, "{err}");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn mget_slot_roundtrip(
+            values in vec(
+                (any::<bool>(), vec(any::<u8>(), 0..24))
+                    .prop_map(|(present, value)| present.then_some(value)),
+                0..6,
+            ),
+        ) {
+            let mut body = Vec::new();
+            let mut ends = vec![0];
+            for value in &values {
+                encode_mget_slot(&mut body, value.as_deref());
+                ends.push(body.len());
+            }
+            // Every prefix decodes its whole slots; a cut inside a slot
+            // fails typed.
+            for cut in 0..=body.len() {
+                let mut rest = &body[..cut];
+                let whole = ends.iter().filter(|&&end| end <= cut).count() - 1;
+                for value in &values[..whole] {
+                    prop_assert_eq!(parse_mget_slot(&mut rest), Ok(value.as_deref()));
+                }
+                if !rest.is_empty() {
+                    prop_assert_eq!(parse_mget_slot(&mut rest), Err(WireError::UnexpectedEof));
+                }
+            }
+        }
+
+        #[test]
+        fn mset_items_roundtrip(
+            items in vec((any::<u64>(), vec(any::<u8>(), 0..24)), 0..6),
+        ) {
+            let mut body = Vec::new();
+            let mut ends = vec![0];
+            for (key, value) in &items {
+                encode_mset_item(&mut body, &key.to_le_bytes(), value);
+                ends.push(body.len());
+            }
+            let expected: Vec<MsetItem> = items
+                .iter()
+                .map(|(key, value)| (key.to_le_bytes().to_vec(), value.clone()))
+                .collect();
+            for cut in 0..=body.len() {
+                let parsed = parse_mset_items(&body[..cut]);
+                match ends.iter().position(|&end| end == cut) {
+                    Some(whole) => prop_assert_eq!(parsed, Ok(expected[..whole].to_vec())),
+                    None => prop_assert_eq!(parsed, Err(WireError::UnexpectedEof)),
+                }
+            }
+        }
+
+        #[test]
+        fn arbitrary_bodies_never_panic(data in vec(any::<u8>(), 0..200)) {
+            let mut rest = data.as_slice();
+            while !rest.is_empty() && parse_mget_slot(&mut rest).is_ok() {}
+            let (cache, store) = (test_cache(), test_store());
+            for method in ["mget", "mset", "put"] {
+                let req = Request::new(method, data.clone());
+                let _ = classify(&cache, &req);
+                let malformed = match method {
+                    "mget" => !data.len().is_multiple_of(8),
+                    "mset" => parse_mset_items(&data).is_err(),
+                    _ => true,
+                };
+                let reply = handle(&cache, &store, &req);
+                prop_assert_eq!(reply.status == Status::Error, malformed);
+            }
+        }
     }
 }
