@@ -251,13 +251,6 @@ pub trait Benchmark: Send + Sync {
     ///
     /// Returns an error if the workload fails or cannot meet its SLO.
     fn run(&self, ctx: &mut RunContext) -> Result<BenchmarkReport, Error>;
-
-    /// The metric used for scoring (must appear in the report's metrics).
-    ///
-    /// Defaults to `requests_per_second`, the most common DCPerf metric.
-    fn score_metric(&self) -> &str {
-        "requests_per_second"
-    }
 }
 
 #[cfg(test)]

@@ -8,6 +8,7 @@
 use crate::benchmark::RunContext;
 use crate::hooks::HookReport;
 use crate::sysinfo::SystemInfo;
+use dcperf_loadgen::LoadReport;
 use dcperf_telemetry::TelemetrySnapshot;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
@@ -78,11 +79,10 @@ pub struct BenchmarkReport {
     pub system: SystemInfo,
     /// Hook outputs collected during the run.
     pub hooks: Vec<HookReport>,
-    /// Wall-clock duration of the measured phase, in seconds.
-    pub duration_secs: f64,
     /// Uniform metrics snapshot of the run's telemetry registry: every
     /// counter, gauge, latency digest (p50/p95/p99/p99.9), and lifecycle
-    /// phase timing recorded during the run.
+    /// phase timing recorded during the run. The measured time is the
+    /// `"<benchmark>/measure"` phase.
     pub telemetry: TelemetrySnapshot,
 }
 
@@ -131,17 +131,15 @@ pub struct ReportBuilder {
     benchmark: String,
     parameters: BTreeMap<String, MetricValue>,
     metrics: BTreeMap<String, MetricValue>,
-    started: std::time::Instant,
 }
 
 impl ReportBuilder {
-    /// Starts a report for `benchmark`, stamping the start time.
+    /// Starts a report for `benchmark`.
     pub fn new(benchmark: &str) -> Self {
         Self {
             benchmark: benchmark.to_owned(),
             parameters: BTreeMap::new(),
             metrics: BTreeMap::new(),
-            started: std::time::Instant::now(),
         }
     }
 
@@ -157,20 +155,29 @@ impl ReportBuilder {
         self
     }
 
-    /// Records the standard latency metrics from a histogram, in
-    /// milliseconds.
-    pub fn latency_ms(&mut self, prefix: &str, hist: &dcperf_util::Histogram) -> &mut Self {
+    /// Records the standard load-run metrics, each derived from `load`:
+    /// throughput, completions, error rate, response volume, latency in
+    /// milliseconds, and `requests_<endpoint>` per endpoint of the mix.
+    pub fn load(&mut self, load: &LoadReport) -> &mut Self {
+        let hist = &load.latency_ns;
         let to_ms = |ns: u64| ns as f64 / 1e6;
-        self.metric(&format!("{prefix}_p50_ms"), to_ms(hist.p50()));
-        self.metric(&format!("{prefix}_p95_ms"), to_ms(hist.p95()));
-        self.metric(&format!("{prefix}_p99_ms"), to_ms(hist.p99()));
-        self.metric(&format!("{prefix}_mean_ms"), hist.mean() / 1e6);
-        self.metric(&format!("{prefix}_max_ms"), to_ms(hist.max()));
+        self.metric("requests_per_second", load.throughput_rps());
+        self.metric("total_requests", load.completed);
+        self.metric("error_rate", load.error_rate());
+        self.metric("response_mb", load.response_bytes as f64 / 1e6);
+        self.metric("request_p50_ms", to_ms(hist.p50()));
+        self.metric("request_p95_ms", to_ms(hist.p95()));
+        self.metric("request_p99_ms", to_ms(hist.p99()));
+        self.metric("request_mean_ms", hist.mean() / 1e6);
+        self.metric("request_max_ms", to_ms(hist.max()));
+        for (name, count) in &load.per_endpoint {
+            self.metric(&format!("requests_{name}"), *count);
+        }
         self
     }
 
-    /// Finalizes the report, stamping duration, host info, and any hook
-    /// reports accumulated in the context.
+    /// Finalizes the report, stamping host info, the run's telemetry, and
+    /// any hook reports accumulated in the context.
     pub fn finish(self, ctx: &mut RunContext) -> BenchmarkReport {
         BenchmarkReport {
             benchmark: self.benchmark,
@@ -178,7 +185,6 @@ impl ReportBuilder {
             metrics: self.metrics,
             system: ctx.system().clone(),
             hooks: ctx.hooks_mut().drain_reports(),
-            duration_secs: self.started.elapsed().as_secs_f64(),
             telemetry: ctx.telemetry().snapshot(),
         }
     }
@@ -217,27 +223,44 @@ mod tests {
     }
 
     #[test]
-    fn latency_ms_emits_standard_percentiles() {
-        let mut ctx = ctx();
-        let mut hist = dcperf_util::Histogram::new();
-        for i in 1..=1000u64 {
-            hist.record(i * 1_000_000); // 1..=1000 ms in ns
+    fn load_derives_every_metric_from_the_load_report() {
+        // 2^20 - 1 and 2^21 - 1 are bucket upper bounds, and p99 clamps to
+        // the max, so every percentile below is exact.
+        let mut latency_ns = dcperf_util::Histogram::new();
+        latency_ns.record_n(1_048_575, 19);
+        latency_ns.record_n(2_097_151, 18);
+        latency_ns.record(4_000_001);
+        let load = LoadReport {
+            completed: 38,
+            errors: 1,
+            deadline_exceeded: 0,
+            rejected: 0,
+            dropped: 1,
+            latency_ns,
+            duration: std::time::Duration::from_secs(2),
+            response_bytes: 3_000_000,
+            per_endpoint: vec![("get".into(), 30), ("set".into(), 8)],
+        };
+        let mut b = ReportBuilder::new("load");
+        b.load(&load);
+        let report = b.finish(&mut ctx());
+        let expected = [
+            ("requests_per_second", 19.0),
+            ("total_requests", 38.0),
+            ("error_rate", 0.05),
+            ("response_mb", 3.0),
+            ("request_p50_ms", 1.048575),
+            ("request_p95_ms", 2.097151),
+            ("request_p99_ms", 4.000001),
+            ("request_mean_ms", 1.622938),
+            ("request_max_ms", 4.000001),
+            ("requests_get", 30.0),
+            ("requests_set", 8.0),
+        ];
+        assert_eq!(report.metrics.len(), expected.len());
+        for (name, value) in expected {
+            assert_eq!(report.metric_f64(name), Some(value), "{name}");
         }
-        let mut b = ReportBuilder::new("lat");
-        b.latency_ms("request", &hist);
-        let report = b.finish(&mut ctx);
-        let p95 = report.metric_f64("request_p95_ms").unwrap();
-        assert!((900.0..=1000.0).contains(&p95), "p95={p95}");
-        assert!(report.metric_f64("request_mean_ms").is_some());
-    }
-
-    #[test]
-    fn duration_is_positive() {
-        let mut ctx = ctx();
-        let b = ReportBuilder::new("t");
-        std::thread::sleep(std::time::Duration::from_millis(2));
-        let report = b.finish(&mut ctx);
-        assert!(report.duration_secs > 0.0);
     }
 
     #[test]

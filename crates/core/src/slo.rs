@@ -4,7 +4,7 @@
 //! production, such as maximizing throughput while maintaining the
 //! 95th-percentile latency under 500ms for our newsfeed benchmark" (§2.2).
 
-use dcperf_util::Histogram;
+use dcperf_loadgen::LoadReport;
 use serde::{Deserialize, Serialize};
 
 /// A latency/error-rate SLO a benchmark must satisfy while measuring peak
@@ -50,19 +50,19 @@ impl SloSpec {
         self
     }
 
-    /// Evaluates the SLO against a latency histogram (nanosecond samples)
-    /// and an observed error rate.
-    pub fn evaluate(&self, latency_ns: &Histogram, error_rate: f64) -> SloOutcome {
+    /// Evaluates the SLO against a load run's latency and error rate.
+    pub fn evaluate(&self, load: &LoadReport) -> SloOutcome {
         let mut violations = Vec::new();
         let to_ms = |ns: u64| ns as f64 / 1e6;
+        let error_rate = load.error_rate();
         if let Some(limit) = self.p95_ms {
-            let got = to_ms(latency_ns.p95());
+            let got = to_ms(load.latency_ns.p95());
             if got > limit {
                 violations.push(format!("p95 {got:.2}ms > {limit:.2}ms"));
             }
         }
         if let Some(limit) = self.p99_ms {
-            let got = to_ms(latency_ns.p99());
+            let got = to_ms(load.latency_ns.p99());
             if got > limit {
                 violations.push(format!("p99 {got:.2}ms > {limit:.2}ms"));
             }
@@ -120,33 +120,37 @@ impl SloOutcome {
 mod tests {
     use super::*;
 
-    fn hist_with_p95_ms(ms: u64) -> Histogram {
-        let mut h = Histogram::new();
-        // 94 fast samples and 6 at the target puts the p95 rank in the
-        // slow bucket, so p95 ≈ `ms`.
-        for _ in 0..94 {
-            h.record(1_000_000); // 1 ms
+    /// A run of 100 attempts, `errors` of them failed, whose p95 is about
+    /// `ms`: 94 fast samples and 6 at the target put the p95 rank in the
+    /// slow bucket.
+    fn load_with_p95_ms(ms: u64, errors: u64) -> LoadReport {
+        let mut latency_ns = dcperf_util::Histogram::new();
+        latency_ns.record_n(1_000_000, 94);
+        latency_ns.record_n(ms * 1_000_000, 6);
+        LoadReport {
+            completed: 100 - errors,
+            errors,
+            deadline_exceeded: 0,
+            rejected: 0,
+            dropped: 0,
+            latency_ns,
+            duration: std::time::Duration::from_secs(1),
+            response_bytes: 0,
+            per_endpoint: Vec::new(),
         }
-        for _ in 0..6 {
-            h.record(ms * 1_000_000);
-        }
-        h
     }
 
     #[test]
     fn unconstrained_always_met() {
         let slo = SloSpec::unconstrained();
-        let h = hist_with_p95_ms(10_000);
-        assert!(slo.evaluate(&h, 1.0).is_met());
+        assert!(slo.evaluate(&load_with_p95_ms(10_000, 100)).is_met());
     }
 
     #[test]
     fn p95_violation_detected() {
         let slo = SloSpec::p95_under_ms(500.0);
-        let ok = hist_with_p95_ms(100);
-        let bad = hist_with_p95_ms(900);
-        assert!(slo.evaluate(&ok, 0.0).is_met());
-        let outcome = slo.evaluate(&bad, 0.0);
+        assert!(slo.evaluate(&load_with_p95_ms(100, 0)).is_met());
+        let outcome = slo.evaluate(&load_with_p95_ms(900, 0));
         assert!(!outcome.is_met());
         if let SloOutcome::Violated(v) = outcome {
             assert!(v[0].contains("p95"));
@@ -156,9 +160,9 @@ mod tests {
     #[test]
     fn error_rate_violation_detected() {
         let slo = SloSpec::unconstrained().with_max_error_rate(0.01);
-        let h = hist_with_p95_ms(1);
-        assert!(slo.evaluate(&h, 0.005).is_met());
-        assert!(!slo.evaluate(&h, 0.02).is_met());
+        // A rate exactly on the bound meets it.
+        assert!(slo.evaluate(&load_with_p95_ms(1, 1)).is_met());
+        assert!(!slo.evaluate(&load_with_p95_ms(1, 2)).is_met());
     }
 
     #[test]
@@ -166,8 +170,7 @@ mod tests {
         let slo = SloSpec::p95_under_ms(1.0)
             .with_p99_ms(1.0)
             .with_max_error_rate(0.0);
-        let h = hist_with_p95_ms(1000);
-        match slo.evaluate(&h, 0.5) {
+        match slo.evaluate(&load_with_p95_ms(1000, 100)) {
             SloOutcome::Violated(v) => assert_eq!(v.len(), 3, "{v:?}"),
             SloOutcome::Met => panic!("expected violations"),
         }

@@ -42,7 +42,7 @@
 #![warn(missing_docs)]
 
 use crossbeam::channel::{bounded, RecvTimeoutError};
-use dcperf_telemetry::{metrics, Counter, Telemetry, TelemetrySnapshot};
+use dcperf_telemetry::{metrics, Counter, Telemetry};
 use dcperf_util::{Empirical, Exponential, Histogram, Rng, Xoshiro256pp};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -206,12 +206,8 @@ pub struct LoadReport {
     pub duration: Duration,
     /// Bytes returned by successful calls.
     pub response_bytes: u64,
-    /// Per-endpoint completion counts, index-aligned with the mix.
-    pub per_endpoint: Vec<u64>,
-    /// Snapshot of the run's telemetry registry: every count above under
-    /// `loadgen.*` names plus the latency-histogram digest, ready to embed
-    /// in a benchmark report or diff against other subsystems.
-    pub telemetry: TelemetrySnapshot,
+    /// Per-endpoint completion counts as `(name, count)`, in mix order.
+    pub per_endpoint: Vec<(String, u64)>,
 }
 
 impl LoadReport {
@@ -235,27 +231,14 @@ impl LoadReport {
             failed as f64 / attempted as f64
         }
     }
-
-    /// Goodput: successful completions per second (alias of
-    /// [`LoadReport::throughput_rps`], named for chaos reports where the
-    /// offered load is higher than what completes).
-    pub fn goodput_rps(&self) -> f64 {
-        self.throughput_rps()
-    }
-
-    /// P95 latency in milliseconds.
-    pub fn p95_ms(&self) -> f64 {
-        self.latency_ns.p95() as f64 / 1e6
-    }
 }
 
 /// Per-run counter handles resolved from the run's telemetry registry.
 ///
 /// Workers record through these (single relaxed atomics / wait-free
 /// histogram stripes); the registry itself is only locked to create the
-/// handles and to take the final snapshot.
+/// handles.
 struct RunRecorder {
-    telemetry: Telemetry,
     completed: Arc<Counter>,
     errors: Arc<Counter>,
     deadline_exceeded: Arc<Counter>,
@@ -263,13 +246,13 @@ struct RunRecorder {
     dropped: Arc<Counter>,
     bytes: Arc<Counter>,
     latency: Arc<dcperf_telemetry::ConcurrentHistogram>,
-    per_endpoint: Vec<Arc<Counter>>,
+    per_endpoint: Vec<(String, Arc<Counter>)>,
 }
 
 impl RunRecorder {
     /// Resolves handles from `shared` when given, so the run's counters
-    /// and latency digest land in the caller's registry (and therefore in
-    /// any report snapshot taken from it); otherwise uses a private one.
+    /// and latency digest land in the caller's registry; otherwise uses a
+    /// private one.
     fn new(mix: &EndpointMix, shared: Option<&Telemetry>) -> Self {
         let telemetry = shared.cloned().unwrap_or_default();
         Self {
@@ -285,18 +268,27 @@ impl RunRecorder {
                 .iter()
                 .enumerate()
                 .map(|(i, name)| {
-                    telemetry.counter(&format!("{}.{i}.{name}", metrics::DYN_LOADGEN_ENDPOINT))
+                    let key = format!("{}.{i}.{name}", metrics::DYN_LOADGEN_ENDPOINT);
+                    (name.clone(), telemetry.counter(&key))
                 })
                 .collect(),
-            telemetry,
         }
     }
 
-    fn record_failure(&self, kind: ServiceErrorKind) {
-        match kind {
-            ServiceErrorKind::Other => self.errors.inc(),
-            ServiceErrorKind::DeadlineExceeded => self.deadline_exceeded.inc(),
-            ServiceErrorKind::Rejected => self.rejected.inc(),
+    /// Records one request's outcome; `latency` counts only on success.
+    fn record(&self, endpoint: usize, outcome: Result<usize, ServiceError>, latency: Duration) {
+        match outcome {
+            Ok(bytes) => {
+                self.latency.record(latency.as_nanos() as u64);
+                self.completed.inc();
+                self.bytes.add(bytes as u64);
+                self.per_endpoint[endpoint].1.inc();
+            }
+            Err(e) => match e.kind {
+                ServiceErrorKind::Other => self.errors.inc(),
+                ServiceErrorKind::DeadlineExceeded => self.deadline_exceeded.inc(),
+                ServiceErrorKind::Rejected => self.rejected.inc(),
+            },
         }
     }
 
@@ -312,8 +304,11 @@ impl RunRecorder {
             latency_ns: self.latency.snapshot(),
             duration,
             response_bytes: self.bytes.get(),
-            per_endpoint: self.per_endpoint.iter().map(|c| c.get()).collect(),
-            telemetry: self.telemetry.snapshot(),
+            per_endpoint: self
+                .per_endpoint
+                .into_iter()
+                .map(|(name, count)| (name, count.get()))
+                .collect(),
         }
     }
 }
@@ -423,19 +418,9 @@ impl ClosedLoop {
                     // Every request in the burst waited for the whole turn;
                     // record the turn latency per request so pipelining's
                     // latency cost is visible, not hidden.
-                    let turn_ns = t0.elapsed().as_nanos() as u64;
+                    let turn = t0.elapsed();
                     for (&(endpoint, _), outcome) in batch.iter().zip(outcomes) {
-                        match outcome {
-                            Ok(bytes) => {
-                                recorder.latency.record(turn_ns);
-                                recorder.completed.inc();
-                                recorder.bytes.add(bytes as u64);
-                                recorder.per_endpoint[endpoint].inc();
-                            }
-                            Err(e) => {
-                                recorder.record_failure(e.kind);
-                            }
-                        }
+                        recorder.record(endpoint, outcome, turn);
                     }
                 });
             }
@@ -584,20 +569,10 @@ impl OpenLoop {
                             for (&(endpoint, _, scheduled), outcome) in
                                 arrivals.iter().zip(outcomes)
                             {
-                                match outcome {
-                                    Ok(bytes) => {
-                                        // From scheduled arrival, so queueing
-                                        // and burst-wait delay both count.
-                                        let lat = now.saturating_duration_since(scheduled);
-                                        recorder.latency.record(lat.as_nanos() as u64);
-                                        recorder.completed.inc();
-                                        recorder.bytes.add(bytes as u64);
-                                        recorder.per_endpoint[endpoint].inc();
-                                    }
-                                    Err(e) => {
-                                        recorder.record_failure(e.kind);
-                                    }
-                                }
+                                // From scheduled arrival, so queueing and
+                                // burst-wait delay both count.
+                                let latency = now.saturating_duration_since(scheduled);
+                                recorder.record(endpoint, outcome, latency);
                             }
                         }
                         Err(RecvTimeoutError::Timeout) => {
@@ -769,9 +744,10 @@ mod tests {
             .workers(2)
             .duration(Duration::from_millis(80))
             .run(&Sleepy { us: 10 }, 3);
-        let total: u64 = report.per_endpoint.iter().sum();
+        let total: u64 = report.per_endpoint.iter().map(|(_, n)| n).sum();
         assert_eq!(total, report.completed);
-        let frac0 = report.per_endpoint[0] as f64 / total as f64;
+        assert_eq!(report.per_endpoint[0].0, "feed");
+        let frac0 = report.per_endpoint[0].1 as f64 / total as f64;
         assert!((frac0 - 0.75).abs() < 0.1, "frac0={frac0}");
     }
 
@@ -801,10 +777,12 @@ mod tests {
 
     #[test]
     fn failure_kinds_land_in_distinct_outcome_classes() {
+        let registry = Telemetry::new();
         let report = ClosedLoop::new(mix())
             .workers(2)
             .duration(Duration::from_secs(5))
             .max_requests(400)
+            .telemetry(&registry)
             .run(&Classed, 7);
         let attempted =
             report.completed + report.errors + report.deadline_exceeded + report.rejected;
@@ -819,15 +797,13 @@ mod tests {
             assert!((80..=120).contains(&count), "{name}={count}");
         }
         assert!((report.error_rate() - 0.75).abs() < 0.05);
-        // The classes also surface as telemetry counters.
+        // The classes also land as counters on the caller's registry.
+        let snapshot = registry.snapshot();
         assert_eq!(
-            report.telemetry.counter("loadgen.deadline_exceeded"),
+            snapshot.counter("loadgen.deadline_exceeded"),
             Some(report.deadline_exceeded)
         );
-        assert_eq!(
-            report.telemetry.counter("loadgen.rejected"),
-            Some(report.rejected)
-        );
+        assert_eq!(snapshot.counter("loadgen.rejected"), Some(report.rejected));
     }
 
     #[test]
@@ -888,11 +864,10 @@ mod tests {
                     latency_ns: hist,
                     duration: Duration::from_secs(1),
                     response_bytes: 0,
-                    per_endpoint: vec![rate as u64],
-                    telemetry: TelemetrySnapshot::default(),
+                    per_endpoint: vec![("feed".into(), rate as u64)],
                 }
             },
-            |report| report.p95_ms() <= 500.0,
+            |report| report.latency_ns.p95() <= 500_000_000,
         );
         let peak = result.peak_rps.expect("capacity is reachable");
         assert!(
@@ -918,8 +893,7 @@ mod tests {
                 latency_ns: Histogram::new(),
                 duration: Duration::from_secs(1),
                 response_bytes: 0,
-                per_endpoint: vec![0],
-                telemetry: TelemetrySnapshot::default(),
+                per_endpoint: vec![("feed".into(), 0)],
             },
             |report| report.error_rate() < 0.01,
         );
@@ -979,7 +953,7 @@ mod tests {
         );
         // Every burst respects the configured depth.
         assert!(sizes.iter().all(|&s| s <= 8));
-        let total: u64 = report.per_endpoint.iter().sum();
+        let total: u64 = report.per_endpoint.iter().map(|(_, n)| n).sum();
         assert_eq!(total, report.completed);
     }
 

@@ -153,13 +153,6 @@ pub struct ChaosOutcome {
     pub snapshot: TelemetrySnapshot,
 }
 
-impl ChaosOutcome {
-    /// Successful completions per second.
-    pub fn goodput_rps(&self) -> f64 {
-        self.load.goodput_rps()
-    }
-}
-
 /// Folds a fault plan's injection counters into `snapshot` under the
 /// given `chaos.*` namespace prefix (a `telemetry::metrics` constant).
 fn merge_plan_counters(snapshot: &mut TelemetrySnapshot, prefix: &str, plan: &FaultPlan) {
@@ -273,7 +266,7 @@ pub fn run_tao_chaos(config: &TaoChaosConfig, slo: &SloSpec) -> ChaosOutcome {
             .run(&service, config.seed),
     };
 
-    let slo_attained = slo.evaluate(&load.latency_ns, load.error_rate()).is_met();
+    let slo_attained = slo.evaluate(&load).is_met();
     let mut snapshot = registry.snapshot();
     snapshot.merge(&cache_registry.snapshot());
     merge_plan_counters(&mut snapshot, metrics::PREFIX_CHAOS_STORE, &store_plan);
@@ -352,7 +345,7 @@ pub fn run_django_chaos(
         .telemetry(&registry)
         .run(&service, config.seed);
 
-    let slo_attained = slo.evaluate(&load.latency_ns, load.error_rate()).is_met();
+    let slo_attained = slo.evaluate(&load).is_met();
     let mut snapshot = registry.snapshot();
     merge_plan_counters(&mut snapshot, metrics::PREFIX_CHAOS_DJANGO, service.plan());
     Ok(ChaosOutcome {
@@ -391,10 +384,10 @@ mod tests {
         // must strictly degrade goodput (the margin is enormous: the
         // baseline is orders of magnitude faster).
         assert!(
-            faulted.goodput_rps() < baseline.goodput_rps(),
+            faulted.load.throughput_rps() < baseline.load.throughput_rps(),
             "faulted {} !< baseline {}",
-            faulted.goodput_rps(),
-            baseline.goodput_rps()
+            faulted.load.throughput_rps(),
+            baseline.load.throughput_rps()
         );
         // The fault-free control meets the SLO the faulted run cannot.
         assert!(baseline.slo_attained, "baseline must meet the SLO");
@@ -506,10 +499,10 @@ mod tests {
         assert!(with_retries.snapshot.counter("rpc.resilient.retries") > Some(0));
         // Retries recover ~20% of arrivals the no-retries client loses.
         assert!(
-            with_retries.goodput_rps() > without_retries.goodput_rps() * 1.1,
+            with_retries.load.throughput_rps() > without_retries.load.throughput_rps() * 1.1,
             "retries goodput {} !> no-retries {}",
-            with_retries.goodput_rps(),
-            without_retries.goodput_rps()
+            with_retries.load.throughput_rps(),
+            without_retries.load.throughput_rps()
         );
     }
 

@@ -361,17 +361,8 @@ impl Benchmark for DjangoBench {
         report.param("users_per_worker", users_per_worker);
         report.param("columns_per_user", self.config.columns_per_user);
         report.param("pipeline_depth", self.config.pipeline_depth as u64);
-        report.metric("requests_per_second", load.throughput_rps());
-        report.metric("total_requests", load.completed);
-        report.metric("error_rate", load.error_rate());
+        report.load(&load);
         report.metric("cache_hit_rate", app.cache.stats().hit_rate());
-        report.latency_ms("request", &load.latency_ns);
-        for (name, count) in ["feed", "timeline", "seen", "inbox"]
-            .iter()
-            .zip(&load.per_endpoint)
-        {
-            report.metric(&format!("requests_{name}"), *count);
-        }
         let writes: u64 = app.workers.iter().map(|w| w.lock().seen_writes).sum();
         report.metric("seen_writes", writes);
         Ok(report.finish(ctx))

@@ -23,7 +23,9 @@
 //! Measurement follows the paper's methodology exactly: an open-loop
 //! Poisson load searched for the peak RPS whose P95 stays within the SLO.
 
-use dcperf_core::{Benchmark, BenchmarkReport, Error, ReportBuilder, RunContext, WorkloadCategory};
+use dcperf_core::{
+    Benchmark, BenchmarkReport, Error, ReportBuilder, RunContext, SloSpec, WorkloadCategory,
+};
 use dcperf_loadgen::{find_peak_load, EndpointMix, OpenLoop, Service, ServiceError};
 use dcperf_rpc::{InProcClient, InProcServer, PoolConfig, Request, Response, Transport, Value};
 use dcperf_tax::{compress, crypto};
@@ -265,10 +267,6 @@ impl Benchmark for FeedSim {
         "newsfeed ranking under a P95 latency SLO (OLDISim-style peak search)"
     }
 
-    fn score_metric(&self) -> &str {
-        "requests_per_second"
-    }
-
     fn run(&self, ctx: &mut RunContext) -> Result<BenchmarkReport, Error> {
         let scale = ctx.config().scale.factor();
         let threads = ctx.config().effective_threads();
@@ -295,6 +293,7 @@ impl Benchmark for FeedSim {
 
         let mix = EndpointMix::uniform(&["rank"]).map_err(|e| Error::Config(e.to_string()))?;
         let slo = self.config.slo_p95_ms;
+        let spec = SloSpec::p95_under_ms(slo).with_max_error_rate(0.01);
         let trial_duration = self.config.trial_duration;
         let agg = Arc::clone(&aggregator);
         let mut trial_seed = seed;
@@ -312,7 +311,7 @@ impl Benchmark for FeedSim {
                     .queue_depth(4096)
                     .run(agg.as_ref(), trial_seed)
             },
-            |report| report.p95_ms() <= slo && report.error_rate() < 0.01,
+            |report| spec.evaluate(report).is_met(),
         );
 
         let mut report = ReportBuilder::new(self.name());
@@ -329,15 +328,13 @@ impl Benchmark for FeedSim {
                 leaf_server.shutdown();
                 return Err(Error::SloUnattainable {
                     name: self.name().to_owned(),
-                    slo: format!("p95 <= {slo}ms at >= {} rps", self.config.start_rps),
+                    slo: format!("{spec} at >= {} rps", self.config.start_rps),
                 });
             }
         };
-        report.metric("requests_per_second", best.throughput_rps());
+        report.load(&best);
         report.metric("offered_peak_rps", peak);
         report.metric("slo_met", "true");
-        report.latency_ms("request", &best.latency_ns);
-        report.metric("response_mb", best.response_bytes as f64 / 1e6);
         leaf_server.shutdown();
         Ok(report.finish(ctx))
     }

@@ -298,17 +298,8 @@ impl Benchmark for MediaWikiBench {
         report.param("article_len", self.config.article_len as u64);
         report.param("client_threads", threads as u64);
         report.param("pipeline_depth", self.config.pipeline_depth as u64);
-        report.metric("requests_per_second", load.throughput_rps());
-        report.metric("total_requests", load.completed);
-        report.metric("error_rate", load.error_rate());
+        report.load(&load);
         report.metric("page_cache_hit_rate", app.cache.stats().hit_rate());
-        report.latency_ms("request", &load.latency_ns);
-        for (name, count) in ["view", "edit", "login", "talk"]
-            .iter()
-            .zip(&load.per_endpoint)
-        {
-            report.metric(&format!("requests_{name}"), *count);
-        }
         Ok(report.finish(ctx))
     }
 }

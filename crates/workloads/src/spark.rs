@@ -28,6 +28,7 @@ use dcperf_util::{Rng, SplitMix64, Xoshiro256pp, Zipf};
 use std::collections::HashMap;
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Aggregation state keyed by `(segment, region)`: running revenue sum
@@ -192,10 +193,6 @@ impl Benchmark for SparkBench {
         "three-stage warehouse query: scan/shuffle stages then a compute-bound join+aggregate"
     }
 
-    fn score_metric(&self) -> &str {
-        "rows_per_second"
-    }
-
     fn run(&self, ctx: &mut RunContext) -> Result<BenchmarkReport, Error> {
         let scale = ctx.config().scale.factor();
         let threads = ctx.config().effective_threads();
@@ -204,8 +201,10 @@ impl Benchmark for SparkBench {
         let dim_rows = self.config.base_dim_rows * scale;
         let partitions = self.config.partitions;
 
-        let dir =
-            std::env::temp_dir().join(format!("dcperf-spark-{}-{seed:x}", std::process::id()));
+        // ordering: the counter only hands out unique ids
+        let run = RUN_ID.fetch_add(1, Ordering::Relaxed);
+        let pid = std::process::id();
+        let dir = std::env::temp_dir().join(format!("dcperf-spark-{pid}-{run}-{seed:x}"));
         std::fs::create_dir_all(&dir)?;
         // Ensure cleanup even on early error.
         let result = self.run_in(ctx, &dir, fact_rows, dim_rows, partitions, threads, seed);
@@ -213,6 +212,10 @@ impl Benchmark for SparkBench {
         result
     }
 }
+
+/// Numbers this process's runs: runs in one process share pid and seed,
+/// and the id keeps one run's cleanup from deleting another's files.
+static RUN_ID: AtomicU64 = AtomicU64::new(0);
 
 impl SparkBench {
     #[allow(clippy::too_many_arguments)]

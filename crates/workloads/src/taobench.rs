@@ -390,12 +390,8 @@ impl Benchmark for TaoBench {
             hits as f64 / (hits + misses) as f64
         };
 
-        report.metric("requests_per_second", load.throughput_rps());
+        report.load(&load);
         report.metric("cache_hit_rate", hit_rate);
-        report.metric("total_requests", load.completed);
-        report.metric("error_rate", load.error_rate());
-        report.metric("response_mb", load.response_bytes as f64 / 1e6);
-        report.latency_ms("request", &load.latency_ns);
         let stats = server.stats();
         report.metric("rpc_shed", stats.shed());
         server.shutdown();
@@ -434,6 +430,12 @@ mod tests {
         );
         assert_eq!(report.metric_f64("error_rate"), Some(0.0));
         assert!(report.metric_f64("request_p95_ms").unwrap() > 0.0);
+        // The plain metrics and the run's registry read the same counts.
+        let completed = report.telemetry.counter("loadgen.completed").unwrap();
+        assert_eq!(report.metric_f64("total_requests"), Some(completed as f64));
+        let latency = report.telemetry.histogram("loadgen.latency_ns").unwrap();
+        let p50_ms = report.metric_f64("request_p50_ms").unwrap();
+        assert_eq!((p50_ms * 1e6).round() as u64, latency.p50);
     }
 
     #[test]

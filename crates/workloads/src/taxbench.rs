@@ -52,10 +52,6 @@ impl Benchmark for TaxMicroBench {
         "datacenter-tax kernels: compression, hashing, crypto, serialization, memory, threads"
     }
 
-    fn score_metric(&self) -> &str {
-        "ops_per_second"
-    }
-
     fn run(&self, ctx: &mut RunContext) -> Result<BenchmarkReport, Error> {
         let iters = self.config.base_iters * ctx.config().scale.factor();
         let registry = Registry::with_builtin();

@@ -275,10 +275,6 @@ impl Benchmark for VideoTranscodeBench {
         "per-core parallel transcode: bilinear resize ladder + 8x8 DCT block encoder"
     }
 
-    fn score_metric(&self) -> &str {
-        "megapixels_per_second"
-    }
-
     fn run(&self, ctx: &mut RunContext) -> Result<BenchmarkReport, Error> {
         let scale = ctx.config().scale.factor();
         let instances = ctx.config().effective_threads();

@@ -43,10 +43,7 @@ fn find_peak(label: &str, config: &TaoChaosConfig, slo: &SloSpec) -> f64 {
             };
             run_tao_chaos(&trial, slo).load
         },
-        |report| {
-            slo.evaluate(&report.latency_ns, report.error_rate())
-                .is_met()
-        },
+        |report| slo.evaluate(report).is_met(),
     );
     let peak = search.peak_rps.unwrap_or(0.0);
     println!(
@@ -93,7 +90,7 @@ fn main() {
     println!("Goodput at 2000 rps offered with 20% overload shed:");
     println!(
         "  retries on   {:>6.0} rps  (error rate {:.2}%, {} retries)",
-        with_retries.goodput_rps(),
+        with_retries.load.throughput_rps(),
         with_retries.load.error_rate() * 100.0,
         with_retries
             .snapshot
@@ -102,7 +99,7 @@ fn main() {
     );
     println!(
         "  retries off  {:>6.0} rps  (error rate {:.2}%)",
-        without_retries.goodput_rps(),
+        without_retries.load.throughput_rps(),
         without_retries.load.error_rate() * 100.0,
     );
 

@@ -6,7 +6,8 @@
 //! ```
 
 use dcperf::core::{RunConfig, Scale, Suite};
-use dcperf::workloads::register_all;
+use dcperf::telemetry::Phase;
+use dcperf::workloads::{default_baselines, register_all};
 
 fn main() -> Result<(), dcperf::core::Error> {
     let mut suite = Suite::new();
@@ -31,16 +32,20 @@ fn main() -> Result<(), dcperf::core::Error> {
     );
 
     let summary = suite.run_all(&config)?;
+    let baselines = default_baselines();
     for report in summary.reports() {
-        let rps = report
-            .metric_f64("requests_per_second")
-            .or_else(|| report.metric_f64("rows_per_second"))
-            .or_else(|| report.metric_f64("megapixels_per_second"))
-            .or_else(|| report.metric_f64("ops_per_second"))
-            .unwrap_or(0.0);
+        // The scored metric is the one its baseline names.
+        let metric = baselines
+            .iter()
+            .find(|(name, _, _)| *name == report.benchmark)
+            .map_or("", |(_, metric, _)| *metric);
+        let measure = report.telemetry.phase(&report.benchmark, Phase::Measure);
         println!(
-            "{:<24} {:>14.1} (primary metric)  {:>6.2}s",
-            report.benchmark, rps, report.duration_secs
+            "{:<24} {:>14.1} {:<22} {:>6.2}s measured",
+            report.benchmark,
+            report.metric_f64(metric).unwrap_or(0.0),
+            metric,
+            measure.map_or(0.0, |p| p.total_ns as f64 / 1e9)
         );
     }
     println!("\n{}", summary.render_table());

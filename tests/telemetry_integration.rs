@@ -1,10 +1,11 @@
 //! Cross-crate telemetry integration: drive the load generator against a
 //! real RPC echo server and check that every layer's view of the run
-//! agrees — the loadgen report, its embedded telemetry snapshot, the RPC
-//! client/server stats, and the server's own telemetry registry.
+//! agrees — the loadgen report, the registry the run recorded onto, the
+//! RPC client/server stats, and the server's own telemetry registry.
 
 use dcperf_loadgen::{ClosedLoop, EndpointMix, Service, ServiceError};
 use dcperf_rpc::{InProcClient, InProcServer, PoolConfig, Request, Response, Transport};
+use dcperf_telemetry::Telemetry;
 use std::time::Duration;
 
 /// Adapts an RPC client to the loadgen `Service` trait: one request per
@@ -32,10 +33,12 @@ fn loadgen_snapshot_matches_rpc_stats() {
     );
     let client = server.client();
     let mix = EndpointMix::uniform(&["echo"]).expect("non-empty mix");
+    let registry = Telemetry::new();
     let report = ClosedLoop::new(mix)
         .workers(2)
         .duration(Duration::from_secs(30)) // the request cap ends the run
         .max_requests(REQUESTS)
+        .telemetry(&registry)
         .run(
             &EchoService {
                 client: client.clone(),
@@ -47,14 +50,11 @@ fn loadgen_snapshot_matches_rpc_stats() {
     assert!(report.completed > 0 && report.completed <= REQUESTS);
     assert_eq!(report.errors, 0);
 
-    // The report's embedded snapshot and its plain fields agree.
-    assert_eq!(
-        report.telemetry.counter("loadgen.completed"),
-        Some(report.completed)
-    );
-    assert_eq!(report.telemetry.counter("loadgen.errors"), Some(0));
-    let latency = report
-        .telemetry
+    // The caller's registry and the report's plain fields agree.
+    let run = registry.snapshot();
+    assert_eq!(run.counter("loadgen.completed"), Some(report.completed));
+    assert_eq!(run.counter("loadgen.errors"), Some(0));
+    let latency = run
         .histogram("loadgen.latency_ns")
         .expect("latency digest present");
     assert_eq!(latency.count, report.completed);
