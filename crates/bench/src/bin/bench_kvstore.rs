@@ -11,7 +11,7 @@
 //!    burst pays one lock/clock/counter round *per key*. Against it the
 //!    current [`Cache`] is measured twice: scalar `get` per key, and one
 //!    shard-grouped [`Cache::get_many`] per burst (how the TaoBench
-//!    mget/Django feed paths drive it), which amortises those rounds
+//!    `mget` handler drives it), which amortises those rounds
 //!    across the burst. On multi-core hosts the `RwLock` read path adds
 //!    reader parallelism on top; this sweep's speedup is the part that
 //!    survives even a single-core box.

@@ -104,8 +104,9 @@ impl Suite {
         }
         let mut report = result?;
         // The benchmark snapshotted telemetry while the measure span was
-        // still open; refresh so the report sees every lifecycle phase.
-        report.telemetry = ctx.telemetry().snapshot();
+        // still open; refresh the phases so the report sees every
+        // lifecycle phase, keeping anything the benchmark merged in.
+        report.telemetry.phases = ctx.telemetry().snapshot().phases;
         if let Some(dir) = &config.output_dir {
             std::fs::create_dir_all(dir)?;
             let path = dir.join(format!("{}.json", bench.name()));

@@ -18,8 +18,11 @@
 //!   scaling behaviour.)
 //! * **Cassandra-flavoured storage**: partition-key + clustering-key
 //!   access with range scans ([`WideRowStore`]).
-//! * **Memcached cache** in front of the hot feed path.
-//! * The production endpoint mix: `feed`, `timeline`, `seen`, `inbox`.
+//! * **Memcached cache** in front of the hot feed path: `feed` reads
+//!   through [`Cache::get_or_load`], so concurrent misses on one user's
+//!   page share a single render (single-flight), and `seen` invalidates.
+//! * The production endpoint mix: `feed`, `timeline`, `seen`, `inbox`,
+//!   driven siege-style, one request per turn.
 
 use crate::store::WideRowStore;
 use dcperf_core::{Benchmark, BenchmarkReport, Error, ReportBuilder, RunContext, WorkloadCategory};
@@ -28,7 +31,6 @@ use dcperf_loadgen::{ClosedLoop, EndpointMix, Service, ServiceError};
 use dcperf_tax::{compress, hash, serialize};
 use dcperf_util::{SplitMix64, Zipf};
 use parking_lot::Mutex;
-use std::collections::BTreeMap;
 use std::time::Duration;
 
 /// Tunable parameters.
@@ -42,9 +44,6 @@ pub struct DjangoBenchConfig {
     pub zipf_exponent: f64,
     /// Base measurement duration (scaled by run scale).
     pub base_duration: Duration,
-    /// Requests each load-generator worker keeps in flight per turn; 1 is
-    /// the classic one-request-per-turn mode.
-    pub pipeline_depth: usize,
 }
 
 impl Default for DjangoBenchConfig {
@@ -54,7 +53,6 @@ impl Default for DjangoBenchConfig {
             columns_per_user: 64,
             zipf_exponent: 0.9,
             base_duration: Duration::from_millis(400),
-            pipeline_depth: 1,
         }
     }
 }
@@ -180,50 +178,6 @@ impl DjangoApp {
             .ok_or_else(|| ServiceError::new("feed: unknown user"))
     }
 
-    /// Batched `feed`: one shard-grouped cache read over the whole run of
-    /// requests ([`Cache::get_many`]), misses resolved per worker with a
-    /// single lock hold and one [`WideRowStore::scan_many`] pass, and the
-    /// rendered pages written back through one [`Cache::set_many`]. The
-    /// render is deterministic, so a concurrent fill racing this batch
-    /// writes an identical page.
-    fn feed_many(&self, items: &[(usize, u64)]) -> Vec<Result<usize, ServiceError>> {
-        let keys: Vec<Vec<u8>> = items
-            .iter()
-            .map(|&(worker, user)| Self::feed_key(worker, user))
-            .collect();
-        let key_refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
-        let mut pages = self.cache.get_many(&key_refs);
-        let mut misses_by_worker: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-        for (i, page) in pages.iter().enumerate() {
-            if page.is_none() {
-                misses_by_worker.entry(items[i].0).or_default().push(i);
-            }
-        }
-        let mut fills: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        for (worker, indices) in misses_by_worker {
-            let state = self.workers[worker].lock();
-            let requests: Vec<(u64, u64, usize)> =
-                indices.iter().map(|&i| (items[i].1, 0, 25)).collect();
-            let scans = state.store.scan_many(&requests);
-            for (&i, rows) in indices.iter().zip(&scans) {
-                if let Some(rendered) = Self::render_feed_page(rows) {
-                    fills.push((keys[i].clone(), rendered.clone()));
-                    pages[i] = Some(rendered.into());
-                }
-            }
-        }
-        if !fills.is_empty() {
-            self.cache.set_many(fills);
-        }
-        pages
-            .into_iter()
-            .map(|page| {
-                page.map(|body| body.len())
-                    .ok_or_else(|| ServiceError::new("feed: unknown user"))
-            })
-            .collect()
-    }
-
     /// `timeline`: uncached range scan deeper into the partition.
     fn timeline(&self, worker: usize, user: u64, offset: u64) -> Result<usize, ServiceError> {
         let state = self.workers[worker].lock();
@@ -283,34 +237,6 @@ impl Service for DjangoApp {
             _ => self.inbox(worker, user),
         }
     }
-
-    fn call_many(&self, batch: &[(usize, u64)]) -> Vec<Result<usize, ServiceError>> {
-        // Runs of consecutive feed requests collapse into one batched
-        // cache/store pass; everything else stays scalar and in order, so
-        // a `seen` invalidation still lands between the feed runs around
-        // it exactly as in the unpipelined schedule.
-        let mut results = Vec::with_capacity(batch.len());
-        let mut i = 0;
-        while i < batch.len() {
-            if batch[i].0 == 0 {
-                let mut j = i;
-                while j < batch.len() && batch[j].0 == 0 {
-                    j += 1;
-                }
-                let items: Vec<(usize, u64)> = batch[i..j]
-                    .iter()
-                    .map(|&(_, seq)| self.user_for(seq))
-                    .collect();
-                results.extend(self.feed_many(&items));
-                i = j;
-            } else {
-                let (endpoint, seq) = batch[i];
-                results.push(self.call(endpoint, seq));
-                i += 1;
-            }
-        }
-        results
-    }
 }
 
 impl Benchmark for DjangoBench {
@@ -351,7 +277,6 @@ impl Benchmark for DjangoBench {
         let duration = self.config.base_duration * scale.min(16) as u32;
         let load = ClosedLoop::new(mix)
             .workers(threads)
-            .pipeline_depth(self.config.pipeline_depth)
             .duration(duration)
             .telemetry(ctx.telemetry())
             .run(&app, seed);
@@ -360,7 +285,6 @@ impl Benchmark for DjangoBench {
         report.param("workers", threads as u64);
         report.param("users_per_worker", users_per_worker);
         report.param("columns_per_user", self.config.columns_per_user);
-        report.param("pipeline_depth", self.config.pipeline_depth as u64);
         report.load(&load);
         report.metric("cache_hit_rate", app.cache.stats().hit_rate());
         let writes: u64 = app.workers.iter().map(|w| w.lock().seen_writes).sum();
@@ -412,29 +336,19 @@ mod tests {
     }
 
     #[test]
-    fn batched_feed_matches_scalar_feed() {
+    fn feed_is_cached_until_seen_invalidates_it() {
         let app = DjangoApp::build(&smoke(), 2, 100, 11).expect("app builds");
-        // A burst mixing feeds (runs), a seen invalidation, and other
-        // endpoints; the batched schedule must return element-for-element
-        // what the scalar schedule returns on a fresh identical app.
-        let batch: Vec<(usize, u64)> = vec![
-            (0, 1),
-            (0, 2),
-            (0, 1),
-            (2, 3),
-            (0, 1),
-            (3, 4),
-            (0, 5),
-            (0, 6),
-        ];
-        let batched = app.call_many(&batch);
-        let scalar_app = DjangoApp::build(&smoke(), 2, 100, 11).expect("app builds");
-        let scalar: Vec<_> = batch
-            .iter()
-            .map(|&(endpoint, seq)| scalar_app.call(endpoint, seq))
-            .collect();
-        assert_eq!(batched, scalar);
-        assert!(app.cache.stats().hits() > 0, "repeat feeds must hit");
+        let (worker, user) = app.user_for(1);
+        let page = app.feed(worker, user).expect("known user");
+        assert_eq!(app.feed(worker, user), Ok(page), "repeat feed");
+        assert_eq!(app.cache.stats().hits(), 1, "repeat feed must hit");
+        app.seen(worker, user, 3).expect("seen succeeds");
+        app.feed(worker, user).expect("known user");
+        assert_eq!(app.cache.stats().misses(), 2, "seen must invalidate");
+        assert_eq!(
+            app.feed(worker, 100),
+            Err(ServiceError::new("feed: unknown user"))
+        );
     }
 
     #[test]

@@ -29,8 +29,8 @@ use dcperf_core::{
 use dcperf_loadgen::{find_peak_load, EndpointMix, OpenLoop, Service, ServiceError};
 use dcperf_rpc::{InProcClient, InProcServer, PoolConfig, Request, Response, Transport, Value};
 use dcperf_tax::{compress, crypto};
+use dcperf_telemetry::Telemetry;
 use dcperf_util::{Rng, SplitMix64, Zipf};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Number of leaf shards the aggregator fans out to (the paper's
@@ -56,9 +56,6 @@ pub struct FeedSimConfig {
     pub start_rps: f64,
     /// Upper bound on offered load.
     pub max_rps: f64,
-    /// Queued arrivals each open-loop worker drains into one pipelined
-    /// burst; 1 is the classic one-request-per-turn mode.
-    pub pipeline_depth: usize,
 }
 
 impl Default for FeedSimConfig {
@@ -71,7 +68,6 @@ impl Default for FeedSimConfig {
             trial_duration: Duration::from_millis(350),
             start_rps: 40.0,
             max_rps: 200_000.0,
-            pipeline_depth: 1,
         }
     }
 }
@@ -280,7 +276,7 @@ impl Benchmark for FeedSim {
             PoolConfig::single_lane((threads / LEAF_SHARDS).max(1) * LEAF_SHARDS),
         );
 
-        let aggregator = Arc::new(Aggregator {
+        let aggregator = Aggregator {
             leaf: leaf_server.client(),
             stories_per_leaf,
             zipf: Zipf::new(stories_per_leaf, 0.9).map_err(|e| Error::Config(e.to_string()))?,
@@ -289,27 +285,30 @@ impl Benchmark for FeedSim {
             top_k: self.config.top_k,
             seed,
             crypt_key: [0x42; 32],
-        });
+        };
 
         let mix = EndpointMix::uniform(&["rank"]).map_err(|e| Error::Config(e.to_string()))?;
         let slo = self.config.slo_p95_ms;
         let spec = SloSpec::p95_under_ms(slo).with_max_error_rate(0.01);
-        let trial_duration = self.config.trial_duration;
-        let agg = Arc::clone(&aggregator);
         let mut trial_seed = seed;
-        let pipeline_depth = self.config.pipeline_depth;
+        // Each trial records onto its own registry; only the peak trial's
+        // reaches the report, so the other trials' counters do not add up.
+        let mut trial_telemetry = Vec::new();
         let search = find_peak_load(
             self.config.start_rps,
             self.config.max_rps,
             6,
-            move |rate| {
+            |rate| {
                 trial_seed = trial_seed.wrapping_add(0x9E37);
-                OpenLoop::new(mix.clone(), rate)
+                let telemetry = Telemetry::new();
+                let load = OpenLoop::new(mix.clone(), rate)
                     .workers(threads)
-                    .pipeline_depth(pipeline_depth)
-                    .duration(trial_duration)
+                    .duration(self.config.trial_duration)
                     .queue_depth(4096)
-                    .run(agg.as_ref(), trial_seed)
+                    .telemetry(&telemetry)
+                    .run(&aggregator, trial_seed);
+                trial_telemetry.push((rate, telemetry.snapshot()));
+                load
             },
             |report| spec.evaluate(report).is_met(),
         );
@@ -319,24 +318,27 @@ impl Benchmark for FeedSim {
         report.param("leaf_shards", LEAF_SHARDS as u64);
         report.param("candidates", self.config.candidates as u64);
         report.param("slo_p95_ms", slo);
-        report.param("pipeline_depth", self.config.pipeline_depth as u64);
         report.param("search_trials", search.trials.len() as u64);
 
+        leaf_server.shutdown();
         let (peak, best) = match (search.peak_rps, search.best_report) {
             (Some(p), Some(b)) => (p, b),
             _ => {
-                leaf_server.shutdown();
+                let lowest = search.trials.last().map_or(0.0, |&(rate, _)| rate);
                 return Err(Error::SloUnattainable {
                     name: self.name().to_owned(),
-                    slo: format!("{spec} at >= {} rps", self.config.start_rps),
+                    slo: format!("{spec} at any rate down to {lowest} rps"),
                 });
             }
         };
         report.load(&best);
         report.metric("offered_peak_rps", peak);
         report.metric("slo_met", "true");
-        leaf_server.shutdown();
-        Ok(report.finish(ctx))
+        let mut report = report.finish(ctx);
+        if let Some((_, snapshot)) = trial_telemetry.iter().find(|&&(rate, _)| rate == peak) {
+            report.telemetry.merge(snapshot);
+        }
+        Ok(report)
     }
 }
 
@@ -407,6 +409,13 @@ mod tests {
         assert!(rps > 10.0, "rps={rps}");
         let p95 = report.metric_f64("request_p95_ms").unwrap();
         assert!(p95 <= 500.0, "p95={p95}");
+        // The plain metrics and the peak trial's telemetry read the same
+        // counts: no other trial's traffic leaks into the report.
+        let completed = report.telemetry.counter("loadgen.completed").unwrap();
+        assert_eq!(report.metric_f64("total_requests"), Some(completed as f64));
+        let latency = report.telemetry.histogram("loadgen.latency_ns").unwrap();
+        let p50_ms = report.metric_f64("request_p50_ms").unwrap();
+        assert_eq!((p50_ms * 1e6).round() as u64, latency.p50);
     }
 
     #[test]
@@ -418,7 +427,10 @@ mod tests {
         });
         let mut ctx = RunContext::new(RunConfig::smoke_test().with_threads(2), "feedsim");
         match bench.run(&mut ctx) {
-            Err(Error::SloUnattainable { .. }) => {}
+            // Six halvings below the 1000 rps start.
+            Err(Error::SloUnattainable { slo, .. }) => {
+                assert!(slo.ends_with("down to 15.625 rps"), "{slo}");
+            }
             other => panic!("expected SloUnattainable, got {other:?}"),
         }
     }

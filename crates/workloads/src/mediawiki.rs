@@ -12,7 +12,10 @@
 //! template renderer is the HHVM/MediaWiki application logic (large
 //! instruction footprint, template recursion), [`PageStore`] is MySQL,
 //! [`dcperf_kvstore::Cache`] is Memcached in front of rendered pages, and
-//! a siege-style multithreaded closed loop drives the same four endpoints.
+//! a siege-style multithreaded closed loop drives the same four endpoints,
+//! one request per turn. A `view` reads through the page cache with
+//! [`Cache::get_or_load`], so concurrent misses on one page share a single
+//! render (single-flight); an `edit` bumps the revision in the cache key.
 
 use crate::store::{PageRecord, PageStore};
 use crate::wiki::{self, TemplateSet};
@@ -35,10 +38,6 @@ pub struct MediaWikiConfig {
     pub zipf_exponent: f64,
     /// Base measurement duration (scaled by run scale).
     pub base_duration: Duration,
-    /// Requests each load-generator worker keeps in flight per turn; 1 is
-    /// the classic siege one-request-per-turn mode, larger values batch
-    /// runs of views into one store/cache pass.
-    pub pipeline_depth: usize,
 }
 
 impl Default for MediaWikiConfig {
@@ -48,7 +47,6 @@ impl Default for MediaWikiConfig {
             article_len: 6_000,
             zipf_exponent: 1.0,
             base_duration: Duration::from_millis(400),
-            pipeline_depth: 1,
         }
     }
 }
@@ -85,7 +83,7 @@ impl WikiApp {
     /// `view`: cache-or-render the article page, then gzip it for the
     /// wire, exactly the Nginx+HHVM hot path.
     fn view(&self, page_id: u64) -> Result<usize, ServiceError> {
-        let (revision, cache_key) = {
+        let cache_key = {
             let pages = self.pages.read();
             let page = pages
                 .get(page_id)
@@ -93,9 +91,8 @@ impl WikiApp {
             let mut key = b"page:".to_vec();
             key.extend_from_slice(&page_id.to_le_bytes());
             key.extend_from_slice(&page.revision.to_le_bytes());
-            (page.revision, key)
+            key
         };
-        let _ = revision;
         let html_gz = self.cache.get_or_load(&cache_key, |_| {
             let pages = self.pages.read();
             let page = pages.get(page_id)?;
@@ -105,56 +102,6 @@ impl WikiApp {
         html_gz
             .map(|b| b.len())
             .ok_or_else(|| ServiceError::new("render failed"))
-    }
-
-    /// Batched `view`: one read-locked [`PageStore::get_many`] pass
-    /// resolves every page's revision-suffixed cache key, one
-    /// [`Cache::get_many`] resolves the hits, and the misses are rendered
-    /// and written back through one [`Cache::set_many`]. Rendering is
-    /// deterministic per (page, revision), so racing fills are benign.
-    fn view_many(&self, page_ids: &[u64]) -> Vec<Result<usize, ServiceError>> {
-        let pages = self.pages.read();
-        let records = pages.get_many(page_ids);
-        let keys: Vec<Option<Vec<u8>>> = records
-            .iter()
-            .map(|record| {
-                record.map(|page| {
-                    let mut key = b"page:".to_vec();
-                    key.extend_from_slice(&page.id.to_le_bytes());
-                    key.extend_from_slice(&page.revision.to_le_bytes());
-                    key
-                })
-            })
-            .collect();
-        let present: Vec<usize> = (0..keys.len()).filter(|&i| keys[i].is_some()).collect();
-        let key_refs: Vec<&[u8]> = present.iter().filter_map(|&i| keys[i].as_deref()).collect();
-        let mut cached = self.cache.get_many(&key_refs);
-        let mut fills: Vec<(Vec<u8>, Vec<u8>)> = Vec::new();
-        for (slot, &i) in cached.iter_mut().zip(&present) {
-            if slot.is_none() {
-                if let (Some(page), Some(key)) = (records[i], keys[i].as_ref()) {
-                    let html = wiki::render(&page.source, &self.templates);
-                    let html_gz = compress::lz_compress(html.as_bytes());
-                    fills.push((key.clone(), html_gz.clone()));
-                    *slot = Some(html_gz.into());
-                }
-            }
-        }
-        drop(pages);
-        if !fills.is_empty() {
-            self.cache.set_many(fills);
-        }
-        let mut sizes = cached.into_iter();
-        keys.iter()
-            .map(|key| match key {
-                Some(_) => sizes
-                    .next()
-                    .flatten()
-                    .map(|body| body.len())
-                    .ok_or_else(|| ServiceError::new("render failed")),
-                None => Err(ServiceError::new("404 page not found")),
-            })
-            .collect()
     }
 
     /// `edit`: append a paragraph, bump the revision (the old revision's
@@ -204,33 +151,6 @@ impl Service for WikiApp {
             2 => self.login(seq),
             _ => self.talk(page, seq),
         }
-    }
-
-    fn call_many(&self, batch: &[(usize, u64)]) -> Vec<Result<usize, ServiceError>> {
-        // Runs of consecutive views collapse into one batched
-        // store/cache pass; edits and the rest stay scalar and in order,
-        // so revision-key invalidation keeps its unpipelined schedule.
-        let mut results = Vec::with_capacity(batch.len());
-        let mut i = 0;
-        while i < batch.len() {
-            if batch[i].0 == 0 {
-                let mut j = i;
-                while j < batch.len() && batch[j].0 == 0 {
-                    j += 1;
-                }
-                let page_ids: Vec<u64> = batch[i..j]
-                    .iter()
-                    .map(|&(_, seq)| self.page_for(seq))
-                    .collect();
-                results.extend(self.view_many(&page_ids));
-                i = j;
-            } else {
-                let (endpoint, seq) = batch[i];
-                results.push(self.call(endpoint, seq));
-                i += 1;
-            }
-        }
-        results
     }
 }
 
@@ -288,7 +208,6 @@ impl Benchmark for MediaWikiBench {
         let duration = self.config.base_duration * scale.min(16) as u32;
         let load = ClosedLoop::new(mix)
             .workers(threads)
-            .pipeline_depth(self.config.pipeline_depth)
             .duration(duration)
             .telemetry(ctx.telemetry())
             .run(&app, seed);
@@ -297,7 +216,6 @@ impl Benchmark for MediaWikiBench {
         report.param("pages", page_count);
         report.param("article_len", self.config.article_len as u64);
         report.param("client_threads", threads as u64);
-        report.param("pipeline_depth", self.config.pipeline_depth as u64);
         report.load(&load);
         report.metric("page_cache_hit_rate", app.cache.stats().hit_rate());
         Ok(report.finish(ctx))
@@ -346,19 +264,7 @@ mod tests {
         );
     }
 
-    #[test]
-    fn pipelined_run_matches_classic_semantics() {
-        let bench = MediaWikiBench::with_config(MediaWikiConfig {
-            pipeline_depth: 8,
-            ..smoke()
-        });
-        let mut ctx = RunContext::new(RunConfig::smoke_test().with_threads(4), "mediawiki");
-        let report = bench.run(&mut ctx).expect("pipelined mediawiki runs");
-        assert_eq!(report.metric_f64("error_rate"), Some(0.0));
-        assert!(report.metric_f64("page_cache_hit_rate").unwrap() > 0.5);
-    }
-
-    fn one_page_app() -> WikiApp {
+    fn three_page_app() -> WikiApp {
         WikiApp {
             pages: RwLock::new({
                 let mut s = PageStore::new();
@@ -382,41 +288,18 @@ mod tests {
     }
 
     #[test]
-    fn batched_views_match_scalar_views() {
-        let batched_app = one_page_app();
-        let scalar_app = one_page_app();
-        let ids = [0u64, 2, 0, 99, 1];
-        let batched = batched_app.view_many(&ids);
-        let scalar: Vec<_> = ids.iter().map(|&id| scalar_app.view(id)).collect();
-        assert_eq!(batched, scalar);
-        assert!(batched[3].is_err(), "unknown page is a 404 in both paths");
-        // The duplicate view of page 0 misses alongside the first (the
-        // batch read pass ran before any fill) and renders again — benign,
-        // identical bytes; set_many leaves one entry per key.
-        assert_eq!(batched_app.cache.stats().insertions(), 4);
-        assert_eq!(batched_app.cache.len(), 3);
+    fn unknown_pages_404_and_repeat_views_hit() {
+        let app = three_page_app();
+        assert_eq!(app.view(99), Err(ServiceError::new("404 page not found")));
+        let size = app.view(2).expect("page 2 renders");
+        assert_eq!(app.view(2), Ok(size), "repeat view");
+        assert_eq!(app.cache.stats().hits(), 1, "repeat view must hit");
+        assert_eq!(app.cache.len(), 1);
     }
 
     #[test]
     fn edits_invalidate_via_revision_keys() {
-        let app = WikiApp {
-            pages: RwLock::new({
-                let mut s = PageStore::new();
-                s.insert(PageRecord {
-                    id: 0,
-                    title: "T".into(),
-                    source: "== H ==\nbody".into(),
-                    revision: 1,
-                });
-                s
-            }),
-            cache: Cache::new(CacheConfig::with_capacity_bytes(1 << 20)),
-            templates: TemplateSet::standard(),
-            zipf: Zipf::new(1, 1.0).unwrap(),
-            page_count: 1,
-            seed: 1,
-            session_key: [0; 32],
-        };
+        let app = three_page_app();
         let size_before = app.view(0).unwrap();
         app.view(0).unwrap();
         assert_eq!(app.cache.stats().hits(), 1, "second view must hit");

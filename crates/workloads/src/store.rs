@@ -66,16 +66,6 @@ impl WideRowStore {
         }
     }
 
-    /// Batched range scan: one [`WideRowStore::scan`] per requested
-    /// partition, in input order — the shape a pipelined burst of feed
-    /// requests presents after being grouped by the cache batch pass.
-    pub fn scan_many(&self, requests: &[(u64, u64, usize)]) -> Vec<Vec<(&u64, &Vec<u8>)>> {
-        requests
-            .iter()
-            .map(|&(partition, from, limit)| self.scan(partition, from, limit))
-            .collect()
-    }
-
     /// Number of partitions.
     pub fn partition_count(&self) -> usize {
         self.partitions.len()
@@ -138,12 +128,6 @@ impl PageStore {
         self.pages.get(&id)
     }
 
-    /// Batched primary-key read, in input order — the multi-page probe a
-    /// pipelined burst of views resolves in one store pass.
-    pub fn get_many(&self, ids: &[u64]) -> Vec<Option<&PageRecord>> {
-        ids.iter().map(|&id| self.get(id)).collect()
-    }
-
     /// Applies an edit: appends to the source and bumps the revision.
     /// Returns the new revision, or `None` for unknown pages.
     pub fn edit(&mut self, id: u64, appended: &str) -> Option<u64> {
@@ -181,39 +165,6 @@ mod tests {
         assert_eq!(*scan[0].0, 4);
         assert_eq!(*scan[2].0, 6);
         assert!(s.scan(9, 0, 5).is_empty());
-    }
-
-    #[test]
-    fn wide_row_scan_many_matches_scalar_scans() {
-        let mut s = WideRowStore::new();
-        for p in 0..4u64 {
-            for c in 0..10u64 {
-                s.insert(p, c, vec![(p * 10 + c) as u8]);
-            }
-        }
-        let requests = [(0u64, 2u64, 3usize), (3, 0, 5), (9, 0, 4), (1, 8, 10)];
-        let batched = s.scan_many(&requests);
-        assert_eq!(batched.len(), requests.len());
-        for (i, &(p, from, limit)) in requests.iter().enumerate() {
-            assert_eq!(batched[i], s.scan(p, from, limit), "request {i}");
-        }
-    }
-
-    #[test]
-    fn page_store_get_many_matches_scalar_gets() {
-        let mut s = PageStore::new();
-        for id in 1..=3u64 {
-            s.insert(PageRecord {
-                id,
-                title: format!("Page {id}"),
-                source: "text".into(),
-                revision: 1,
-            });
-        }
-        let got = s.get_many(&[2, 9, 1]);
-        assert_eq!(got[0].map(|p| p.id), Some(2));
-        assert!(got[1].is_none());
-        assert_eq!(got[2].map(|p| p.id), Some(1));
     }
 
     #[test]

@@ -43,11 +43,6 @@ pub struct TaoBenchConfig {
     pub db_latency: Duration,
     /// Base measurement duration (scaled by the run scale).
     pub base_duration: Duration,
-    /// Requests each load-generator worker keeps in flight per turn. A
-    /// turn's GETs travel as one `mget` and its SETs as one `mset`, so 1
-    /// sends a one-key `mget` or `mset` per turn; larger values exercise
-    /// the pipelined RPC path.
-    pub pipeline_depth: usize,
 }
 
 impl Default for TaoBenchConfig {
@@ -59,7 +54,6 @@ impl Default for TaoBenchConfig {
             get_fraction: 0.95,
             db_latency: Duration::from_micros(150),
             base_duration: Duration::from_millis(400),
-            pipeline_depth: 1,
         }
     }
 }
@@ -234,66 +228,28 @@ impl<C: Transport> TaoClient<C> {
 }
 
 impl<C: Transport + Send + Sync> Service for TaoClient<C> {
+    /// A GET is a one-key `mget`; a SET is a one-item `mset` carrying the
+    /// new object (the client supplies it, as memtier does).
     fn call(&self, endpoint: usize, seq: u64) -> Result<usize, ServiceError> {
-        self.call_many(&[(endpoint, seq)])
-            .pop()
-            .unwrap_or_else(|| Err(ServiceError::new("request dropped from batch")))
-    }
-
-    fn call_many(&self, batch: &[(usize, u64)]) -> Vec<Result<usize, ServiceError>> {
-        // Fold the burst into at most two multi-key requests — one mget
-        // carrying every GET key and one mset carrying every SET (the
-        // client supplies the new object, as memtier does) — so the whole
-        // burst maps onto one shard-grouped cache pass server-side, then
-        // scatter results back in issue order.
-        let mut get_slots: Vec<usize> = Vec::new();
-        let mut mget_body: Vec<u8> = Vec::new();
-        let mut set_slots: Vec<usize> = Vec::new();
-        let mut mset_body: Vec<u8> = Vec::new();
-        for (idx, &(endpoint, seq)) in batch.iter().enumerate() {
-            let key = self.key_for(seq).to_le_bytes();
-            if endpoint == 0 {
-                get_slots.push(idx);
-                mget_body.extend_from_slice(&key);
-            } else {
-                set_slots.push(idx);
-                encode_mset_item(&mut mset_body, &key, &self.store.synthesize_for_key(&key));
+        let key = self.key_for(seq).to_le_bytes();
+        if endpoint == 0 {
+            let resp = self
+                .rpc
+                .call("mget", key.to_vec(), None)
+                .map_err(|e| service_error(&e))?;
+            match parse_mget_slot(&mut resp.body.as_slice()) {
+                Ok(Some(value)) => Ok(value.len()),
+                Ok(None) => Err(ServiceError::new("object not found")),
+                Err(_) => Err(ServiceError::new("truncated mget response")),
             }
+        } else {
+            let mut body = Vec::new();
+            encode_mset_item(&mut body, &key, &self.store.synthesize_for_key(&key));
+            self.rpc
+                .call("mset", body, None)
+                .map(|resp| resp.body.len())
+                .map_err(|e| service_error(&e))
         }
-        let mut results: Vec<Option<Result<usize, ServiceError>>> = vec![None; batch.len()];
-        if !get_slots.is_empty() {
-            match self.rpc.call("mget", mget_body, None) {
-                Ok(resp) => {
-                    let mut rest = resp.body.as_slice();
-                    for &idx in &get_slots {
-                        results[idx] = Some(match parse_mget_slot(&mut rest) {
-                            Ok(Some(value)) => Ok(value.len()),
-                            Ok(None) => Err(ServiceError::new("object not found")),
-                            Err(_) => Err(ServiceError::new("truncated mget response")),
-                        });
-                    }
-                }
-                Err(e) => {
-                    let err = service_error(&e);
-                    for &idx in &get_slots {
-                        results[idx] = Some(Err(err.clone()));
-                    }
-                }
-            }
-        }
-        if !set_slots.is_empty() {
-            let outcome = self.rpc.call("mset", mset_body, None);
-            for &idx in &set_slots {
-                results[idx] = Some(match &outcome {
-                    Ok(resp) => Ok(resp.body.len()),
-                    Err(e) => Err(service_error(e)),
-                });
-            }
-        }
-        results
-            .into_iter()
-            .map(|r| r.unwrap_or_else(|| Err(ServiceError::new("request dropped from batch"))))
-            .collect()
     }
 }
 
@@ -354,7 +310,6 @@ impl Benchmark for TaoBench {
         .map_err(|e| Error::Config(e.to_string()))?;
         ClosedLoop::new(mix.clone())
             .workers(threads)
-            .pipeline_depth(self.config.pipeline_depth)
             .duration(self.config.base_duration / 4)
             .run(&client, seed ^ 0xAAAA);
         let warm_hits = cache.stats().hits();
@@ -366,7 +321,6 @@ impl Benchmark for TaoBench {
         report.param("fast_threads", fast_threads as u64);
         report.param("slow_threads", slow_threads as u64);
         report.param("client_threads", threads as u64);
-        report.param("pipeline_depth", self.config.pipeline_depth as u64);
         report.param("zipf_exponent", self.config.zipf_exponent);
 
         let duration = self.config.base_duration * scale.min(16) as u32;
@@ -374,7 +328,6 @@ impl Benchmark for TaoBench {
         // kept its own, so warmup traffic stays out of the snapshot).
         let load = ClosedLoop::new(mix)
             .workers(threads)
-            .pipeline_depth(self.config.pipeline_depth)
             .duration(duration)
             .telemetry(ctx.telemetry())
             .run(&client, seed);
@@ -439,25 +392,6 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_run_matches_classic_semantics() {
-        // Depth 8 batches bursts down the multiplexed RPC path; the mix,
-        // hit-rate band, and error-free completion must be unchanged.
-        let bench = TaoBench::with_config(TaoBenchConfig {
-            pipeline_depth: 8,
-            ..smoke_config()
-        });
-        let mut ctx = RunContext::new(RunConfig::smoke_test().with_threads(4), "taobench");
-        let report = bench.run(&mut ctx).expect("pipelined taobench runs");
-        assert_eq!(report.metric_f64("error_rate"), Some(0.0));
-        let hit_rate = report.metric_f64("cache_hit_rate").unwrap();
-        assert!(
-            (0.3..=0.999).contains(&hit_rate),
-            "hit rate {hit_rate} out of expected band"
-        );
-        assert!(report.metric_f64("requests_per_second").unwrap() > 1_000.0);
-    }
-
-    #[test]
     fn hot_keys_hit_cold_keys_miss() {
         // With a capacity-limited cache and Zipf keys, the measured hit
         // rate must be far above the capacity fraction alone (recency
@@ -514,29 +448,27 @@ mod tests {
     }
 
     #[test]
-    fn call_matches_call_many_per_request() {
-        // The last two requests of every 8 are SETs. A burst sends its
-        // GETs before its SETs, so bursts of 8 issue in the same order as
-        // one call per request, and each request must see the same
-        // outcome: value length, empty SET reply, or a deleted object.
-        let requests: Vec<(usize, u64)> = (0..512)
-            .map(|seq| (usize::from(seq % 8 >= 6), seq))
-            .collect();
-        let (one_server, one) = stack();
-        let (burst_server, burst) = stack();
-        let singles: Vec<_> = requests
-            .iter()
-            .map(|&(endpoint, seq)| one.call(endpoint, seq))
-            .collect();
-        let bursts: Vec<_> = requests
-            .chunks(8)
-            .flat_map(|chunk| burst.call_many(chunk))
-            .collect();
-        assert_eq!(singles, bursts);
-        assert!(singles.iter().any(|r| matches!(r, Ok(len) if *len > 0)));
-        assert!(singles.iter().any(Result::is_err), "no deleted object hit");
-        one_server.shutdown();
-        burst_server.shutdown();
+    fn call_serves_values_sets_and_deleted_objects() {
+        // The last two requests of every 8 are SETs. A GET returns the
+        // value length, or an error for a deleted object; a SET returns
+        // the empty reply.
+        let (server, client) = stack();
+        let mut gets = Vec::new();
+        for seq in 0..512u64 {
+            let is_set = seq % 8 >= 6;
+            let outcome = client.call(usize::from(is_set), seq);
+            if is_set {
+                assert_eq!(outcome, Ok(0), "SET {seq}");
+            } else {
+                gets.push(outcome);
+            }
+        }
+        assert!(gets.iter().any(|r| matches!(r, Ok(len) if *len > 0)));
+        assert!(
+            gets.contains(&Err(ServiceError::new("object not found"))),
+            "no deleted object hit"
+        );
+        server.shutdown();
     }
 
     #[test]

@@ -29,9 +29,10 @@ fn base_config() -> TaoChaosConfig {
     }
 }
 
-/// One peak search: open-loop trials at doubling offered rates, binary
-/// refinement, judged against `slo`.
-fn find_peak(label: &str, config: &TaoChaosConfig, slo: &SloSpec) -> f64 {
+/// One peak search: open-loop trials at doubling (or, from a failing
+/// start, halving) offered rates, binary refinement, judged against
+/// `slo`. `None` when no rate tried met the SLO.
+fn find_peak(label: &str, config: &TaoChaosConfig, slo: &SloSpec) -> Option<f64> {
     let search = find_peak_load(
         250.0,
         50_000.0,
@@ -45,12 +46,17 @@ fn find_peak(label: &str, config: &TaoChaosConfig, slo: &SloSpec) -> f64 {
         },
         |report| slo.evaluate(report).is_met(),
     );
-    let peak = search.peak_rps.unwrap_or(0.0);
-    println!(
-        "  {label:<11} peak {peak:>8.0} rps  ({} trials)",
-        search.trials.len()
-    );
-    peak
+    let trials = search.trials.len();
+    match search.peak_rps {
+        Some(peak) => println!("  {label:<11} peak {peak:>8.0} rps  ({trials} trials)"),
+        None => {
+            let lowest = search.trials.last().map_or(0.0, |&(rate, _)| rate);
+            println!(
+                "  {label:<11} no rate down to {lowest:.0} rps met the SLO  ({trials} trials)"
+            );
+        }
+    }
+    search.peak_rps
 }
 
 fn main() {
@@ -62,15 +68,17 @@ fn main() {
     println!("SLO: p95 < 60 ms, error rate <= 5%\n");
 
     println!("SLO-constrained peak throughput:");
-    let healthy = find_peak("fault-free", &base_config().fault_free(), &slo);
-    let faulted = find_peak("faulted", &base_config(), &slo);
-    if faulted < healthy {
-        println!(
+    let Some(healthy) = find_peak("fault-free", &base_config().fault_free(), &slo) else {
+        eprintln!("error: the fault-free stack met the SLO at no rate tried");
+        std::process::exit(1);
+    };
+    match find_peak("faulted", &base_config(), &slo) {
+        Some(faulted) if faulted < healthy => println!(
             "  chaos costs {:.0}% of SLO-attained capacity\n",
-            (1.0 - faulted / healthy.max(1.0)) * 100.0
-        );
-    } else {
-        println!("  WARNING: faulted peak not below baseline — inspect the plan\n");
+            (1.0 - faulted / healthy) * 100.0
+        ),
+        Some(_) => println!("  WARNING: faulted peak not below baseline — inspect the plan\n"),
+        None => println!(),
     }
 
     // Retries on/off at a fixed offered load while 20% of dispatches are
